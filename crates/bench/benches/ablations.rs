@@ -16,15 +16,22 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use dssoc_appmodel::WorkloadSpec;
+use dssoc_appmodel::{AppLibrary, Workload};
 use dssoc_apps::standard_library;
-use dssoc_core::des::{DesConfig, DesSimulator};
-use dssoc_core::engine::Emulation;
-use dssoc_core::job::CostSpec;
+use dssoc_core::des::DesSimulator;
+use dssoc_core::engine::{Emulation, OverheadMode};
+use dssoc_core::job::{CompiledScenario, CostSpec, ScenarioBuilder, ScenarioSpec};
 use dssoc_core::FrfsScheduler;
 use dssoc_platform::accel::FftAccelerator;
 use dssoc_platform::cost::CostTable;
 use dssoc_platform::dma::DmaModel;
+use dssoc_platform::pe::PlatformConfig;
 use dssoc_platform::presets::{zcu102, zcu102_fft_accel};
+
+/// `workload` on `platform` with the default knobs, ready to compile.
+fn spec(library: &AppLibrary, workload: &Workload, platform: PlatformConfig) -> ScenarioBuilder {
+    ScenarioSpec::builder().library(library.clone()).workload(workload.clone()).platform(platform)
+}
 
 /// DMA-parameter sweep: total accelerator-visible latency for a 128-pt
 /// FFT under different setup costs.
@@ -54,12 +61,15 @@ fn bench_contention(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_contention_2c2f");
     g.sample_size(15);
     for (label, penalty_us) in [("modeled", 10u64), ("disabled", 0)] {
-        g.bench_with_input(BenchmarkId::new(label, penalty_us), &penalty_us, |b, &p| {
+        let mut platform = zcu102(2, 2);
+        platform.contention.context_switch = Duration::from_micros(penalty_us);
+        let scenario =
+            CompiledScenario::compile(spec(&library, &workload, platform).build().unwrap())
+                .unwrap();
+        g.bench_with_input(BenchmarkId::new(label, penalty_us), &penalty_us, |b, _| {
             b.iter(|| {
-                let mut platform = zcu102(2, 2);
-                platform.contention.context_switch = Duration::from_micros(p);
-                let mut emu = Emulation::new(platform).unwrap();
-                let stats = emu.run(&mut FrfsScheduler::new(), &workload, &library).unwrap();
+                let mut emu = Emulation::new(&scenario).unwrap();
+                let stats = emu.run(&mut FrfsScheduler::new(), &scenario).unwrap();
                 black_box(stats.makespan)
             })
         });
@@ -76,12 +86,15 @@ fn bench_overlay_speed(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_overlay_speed");
     g.sample_size(15);
     for speed_pct in [100u64, 50, 15] {
-        g.bench_with_input(BenchmarkId::new("makespan", speed_pct), &speed_pct, |b, &s| {
+        let mut platform = zcu102(3, 0);
+        platform.overlay.speed = speed_pct as f64 / 100.0;
+        let scenario =
+            CompiledScenario::compile(spec(&library, &workload, platform).build().unwrap())
+                .unwrap();
+        g.bench_with_input(BenchmarkId::new("makespan", speed_pct), &speed_pct, |b, _| {
             b.iter(|| {
-                let mut platform = zcu102(3, 0);
-                platform.overlay.speed = s as f64 / 100.0;
-                let mut emu = Emulation::new(platform).unwrap();
-                let stats = emu.run(&mut FrfsScheduler::new(), &workload, &library).unwrap();
+                let mut emu = Emulation::new(&scenario).unwrap();
+                let stats = emu.run(&mut FrfsScheduler::new(), &scenario).unwrap();
                 black_box(stats.makespan)
             })
         });
@@ -109,20 +122,15 @@ fn bench_reservation_surrogate(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_reservation");
     g.sample_size(20);
     for (label, ov_us) in [("per_completion_scheduling", 25u64), ("reservation_queue", 0)] {
-        g.bench_with_input(BenchmarkId::new(label, ov_us), &ov_us, |b, &ov| {
+        let built = spec(&library, &workload, zcu102(3, 0))
+            .overhead(OverheadMode::Fixed(Duration::from_micros(ov_us)))
+            .cost(CostSpec::table(table.clone()))
+            .build()
+            .unwrap();
+        let scenario = CompiledScenario::compile(built).unwrap();
+        g.bench_with_input(BenchmarkId::new(label, ov_us), &ov_us, |b, _| {
             b.iter(|| {
-                let mut des = DesSimulator::new(
-                    zcu102(3, 0),
-                    DesConfig {
-                        cost: CostSpec::table(table.clone()),
-                        overhead_per_invocation: Duration::from_micros(ov),
-                        trace: None,
-                        faults: None,
-                        metrics: None,
-                    },
-                )
-                .unwrap();
-                let stats = des.run(&mut FrfsScheduler::new(), &workload, &library).unwrap();
+                let stats = DesSimulator::new().run(&mut FrfsScheduler::new(), &scenario).unwrap();
                 black_box(stats.makespan)
             })
         });

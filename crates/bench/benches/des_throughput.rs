@@ -9,21 +9,20 @@
 //! dispatch and one completion event, so "events" here is 2x the task
 //! count.
 //!
-//! Two paths are measured per size, matching the two ways the sweep
+//! Both paths run one precompiled [`CompiledScenario`] (compilation
+//! stays outside the timed region), matching the two ways the sweep
 //! layer drives the DES:
 //!
-//! - **cold** — `DesSimulator::run`: scenario state (name table, cost
-//!   grid, SoA slabs, estimate book) is rebuilt every run. This is the
-//!   one-off CLI path.
-//! - **warm** — `DesSimulator::run_compiled` against one
-//!   [`CompiledScenario`], repeated on the same simulator: the run
-//!   reuses the precompiled SoA slabs and the simulator's scratch arena
-//!   (event queue, dense state arrays, estimate book values-only
-//!   reset), so the hot loop is allocation-free. This is the
-//!   `SweepCell` iteration / `JobRunner` steady state and the headline
-//!   events/sec number. The scenario is driven directly (not through
-//!   `JobRunner`) because the deterministic result cache would replay
-//!   repeats instead of simulating them.
+//! - **cold** — a fresh `DesSimulator` per run: its scratch arena
+//!   (event queue, dense state arrays) and estimate book start empty
+//!   and grow during the run. This is the one-off CLI path.
+//! - **warm** — repeated runs on the same simulator: the run reuses the
+//!   simulator's scratch arena and resets the estimate book values-only,
+//!   so the hot loop is allocation-free. This is the `SweepCell`
+//!   iteration / `JobRunner` steady state and the headline events/sec
+//!   number. The scenario is driven directly (not through `JobRunner`)
+//!   because the deterministic result cache would replay repeats
+//!   instead of simulating them.
 //!
 //! Besides the criterion timings, a best-of-N summary is merged into
 //! `BENCH_des.json` (see `dssoc_bench::report`) in both bench and
@@ -49,10 +48,10 @@ use dssoc_appmodel::app::AppLibrary;
 use dssoc_appmodel::{Workload, WorkloadSpec};
 use dssoc_apps::standard_library;
 use dssoc_bench::report::BenchReport;
-use dssoc_core::des::{DesConfig, DesSimulator};
-use dssoc_core::job::{CompiledScenario, CostSpec, ScenarioSpec};
+use dssoc_core::des::DesSimulator;
+use dssoc_core::job::{CompiledScenario, CostSpec, Engine, ScenarioSpec};
 use dssoc_core::sched::by_name;
-use dssoc_core::sweep::{default_workers, DesSweepRunner, SweepCell};
+use dssoc_core::sweep::{default_workers, SweepCell, SweepRunner};
 use dssoc_platform::cost::CostTable;
 use dssoc_platform::pe::PlatformConfig;
 use dssoc_platform::presets::zcu102;
@@ -80,20 +79,6 @@ fn full_cost_table(library: &AppLibrary, platform: &PlatformConfig) -> CostTable
     table
 }
 
-fn make_sim(platform: &PlatformConfig, table: &CostTable) -> DesSimulator {
-    DesSimulator::new(
-        platform.clone(),
-        DesConfig {
-            cost: CostSpec::table(table.clone()),
-            overhead_per_invocation: Duration::ZERO,
-            trace: None,
-            faults: None,
-            metrics: None,
-        },
-    )
-    .expect("platform")
-}
-
 fn workload(library: &AppLibrary, instances: usize) -> Arc<Workload> {
     Arc::new(
         WorkloadSpec::validation([("range_detection", instances)])
@@ -102,7 +87,7 @@ fn workload(library: &AppLibrary, instances: usize) -> Arc<Workload> {
     )
 }
 
-/// Precompiles the scenario the warm path replays.
+/// Precompiles the scenario both paths run.
 fn compile_scenario(
     library: &AppLibrary,
     platform: &PlatformConfig,
@@ -120,19 +105,17 @@ fn compile_scenario(
     CompiledScenario::compile(spec).expect("compile")
 }
 
-/// One cold DES run (fresh FRFS policy, scenario state rebuilt),
-/// returning the task count.
-fn run_once(sim: &mut DesSimulator, wl: &Workload, library: &AppLibrary) -> usize {
-    let mut sched = by_name("frfs").expect("library policy");
-    let stats = sim.run(sched.as_mut(), wl, library).expect("simulation");
-    stats.tasks.len()
+/// One cold DES run (fresh FRFS policy on a fresh simulator), returning
+/// the task count.
+fn run_cold(scenario: &CompiledScenario) -> usize {
+    run_warm(&mut DesSimulator::new(), scenario)
 }
 
-/// One warm DES run (fresh FRFS policy, precompiled scenario + warm
-/// simulator scratch), returning the task count.
+/// One warm DES run (fresh FRFS policy, warm simulator scratch),
+/// returning the task count.
 fn run_warm(sim: &mut DesSimulator, scenario: &CompiledScenario) -> usize {
     let mut sched = by_name("frfs").expect("library policy");
-    let stats = sim.run_compiled(sched.as_mut(), scenario).expect("simulation");
+    let stats = sim.run(sched.as_mut(), scenario).expect("simulation");
     stats.tasks.len()
 }
 
@@ -144,13 +127,12 @@ fn bench_des_throughput(c: &mut Criterion) {
     group.sample_size(10);
     for &n in &SIZES {
         let wl = workload(&library, n);
-        let mut sim = make_sim(&platform, &table);
-        let tasks = run_once(&mut sim, &wl, &library);
-        group.bench_with_input(BenchmarkId::new("tasks", tasks), &wl, |b, wl| {
-            b.iter(|| black_box(run_once(&mut sim, wl, &library)))
-        });
         let scenario = compile_scenario(&library, &platform, &table, &wl);
-        let mut sim = make_sim(&platform, &table);
+        let tasks = run_cold(&scenario);
+        group.bench_with_input(BenchmarkId::new("tasks", tasks), &scenario, |b, sc| {
+            b.iter(|| black_box(run_cold(sc)))
+        });
+        let mut sim = DesSimulator::new();
         group.bench_with_input(BenchmarkId::new("tasks_warm", tasks), &scenario, |b, sc| {
             b.iter(|| black_box(run_warm(&mut sim, sc)))
         });
@@ -184,9 +166,9 @@ fn main() {
     println!("== des_throughput summary (best of {reps}) ==");
     for &n in &SIZES {
         let wl = workload(&library, n);
-        let mut sim = make_sim(&platform, &table);
-        let tasks = run_once(&mut sim, &wl, &library);
         let scenario = compile_scenario(&library, &platform, &table, &wl);
+        let mut sim = DesSimulator::new();
+        let tasks = run_warm(&mut sim, &scenario);
         // Untimed warm-up (~0.5 s): lets the frequency governor ramp
         // up, so best-of-N measures the hot-loop cost rather than the
         // host's idle clock.
@@ -199,12 +181,12 @@ fn main() {
         let best_cold = (0..reps)
             .map(|_| {
                 let start = Instant::now();
-                black_box(run_once(&mut sim, &wl, &library));
+                black_box(run_cold(&scenario));
                 start.elapsed()
             })
             .min()
             .expect("reps > 0");
-        // The first run_compiled after the cold runs re-primes the
+        // One untimed run primes the warm simulator's scratch and
         // estimate-book identity; exclude it from the timed reps.
         black_box(run_warm(&mut sim, &scenario));
         let best_warm = (0..reps)
@@ -240,13 +222,7 @@ fn main() {
     let grid_reps = if test_mode { 1 } else { 3 };
     let wl = workload(&library, 167);
     let table = full_cost_table(&library, &zcu102(3, 2));
-    let config = DesConfig {
-        cost: CostSpec::table(table),
-        overhead_per_invocation: Duration::ZERO,
-        trace: None,
-        faults: None,
-        metrics: None,
-    };
+    let base = ScenarioSpec::builder().cost(CostSpec::table(table));
     let cells: Vec<SweepCell> = [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (3, 1), (1, 2), (2, 2)]
         .iter()
         .map(|&(cores, ffts)| {
@@ -260,7 +236,7 @@ fn main() {
     let time_grid = |parallel: bool| -> Duration {
         (0..grid_reps)
             .map(|_| {
-                let mut runner = DesSweepRunner::with_config(&library, config.clone());
+                let mut runner = SweepRunner::with_base(&library, Engine::Des, base.clone());
                 let start = Instant::now();
                 let results = if parallel {
                     runner.run_batch_parallel(&cells, workers)

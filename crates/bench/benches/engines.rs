@@ -11,9 +11,9 @@ use std::time::Duration;
 
 use dssoc_appmodel::WorkloadSpec;
 use dssoc_apps::standard_library;
-use dssoc_core::des::{DesConfig, DesSimulator};
-use dssoc_core::engine::{Emulation, EmulationConfig, OverheadMode, TimingMode};
-use dssoc_core::job::CostSpec;
+use dssoc_core::des::DesSimulator;
+use dssoc_core::engine::{Emulation, OverheadMode, TimingMode};
+use dssoc_core::job::{CompiledScenario, CostSpec, ScenarioSpec};
 use dssoc_core::FrfsScheduler;
 use dssoc_platform::cost::CostTable;
 use dssoc_platform::presets::zcu102;
@@ -37,52 +37,42 @@ fn bench_engines(c: &mut Criterion) {
     let (library, _registry) = standard_library();
     let workload =
         WorkloadSpec::validation([("range_detection", 16usize)]).generate(&library).unwrap();
-    let table = cost_table();
+    // Scenarios compile outside the timed closures: each iteration
+    // measures an engine's construction and one run.
+    let scenario = |overhead: OverheadMode, cost: CostSpec| {
+        let spec = ScenarioSpec::builder()
+            .library(library.clone())
+            .platform(zcu102(3, 0))
+            .workload(workload.clone())
+            .timing(TimingMode::Modeled)
+            .overhead(overhead)
+            .cost(cost)
+            .build()
+            .unwrap();
+        CompiledScenario::compile(spec).unwrap()
+    };
+    let modeled = scenario(OverheadMode::None, CostSpec::table(cost_table()));
+    let measured = scenario(OverheadMode::Measured, CostSpec::default());
 
     let mut g = c.benchmark_group("turnaround");
     g.sample_size(20);
 
     g.bench_function("emulator_modeled", |b| {
         b.iter(|| {
-            let mut emu = Emulation::with_config(
-                zcu102(3, 0),
-                EmulationConfig {
-                    timing: TimingMode::Modeled,
-                    overhead: OverheadMode::None,
-                    cost: CostSpec::table(table.clone()),
-                    reservation_depth: 0,
-                    trace: None,
-                    faults: None,
-                    metrics: None,
-                },
-            )
-            .unwrap();
-            black_box(emu.run(&mut FrfsScheduler::new(), &workload, &library).unwrap())
+            let mut emu = Emulation::new(&modeled).unwrap();
+            black_box(emu.run(&mut FrfsScheduler::new(), &modeled).unwrap())
         })
     });
 
     g.bench_function("emulator_measured_costs", |b| {
         b.iter(|| {
-            let mut emu = Emulation::new(zcu102(3, 0)).unwrap();
-            black_box(emu.run(&mut FrfsScheduler::new(), &workload, &library).unwrap())
+            let mut emu = Emulation::new(&measured).unwrap();
+            black_box(emu.run(&mut FrfsScheduler::new(), &measured).unwrap())
         })
     });
 
     g.bench_function("des_baseline", |b| {
-        b.iter(|| {
-            let mut des = DesSimulator::new(
-                zcu102(3, 0),
-                DesConfig {
-                    cost: CostSpec::table(table.clone()),
-                    overhead_per_invocation: Duration::ZERO,
-                    trace: None,
-                    faults: None,
-                    metrics: None,
-                },
-            )
-            .unwrap();
-            black_box(des.run(&mut FrfsScheduler::new(), &workload, &library).unwrap())
-        })
+        b.iter(|| black_box(DesSimulator::new().run(&mut FrfsScheduler::new(), &modeled).unwrap()))
     });
 
     g.finish();

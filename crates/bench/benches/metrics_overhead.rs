@@ -15,9 +15,9 @@ use std::time::Duration;
 
 use dssoc_appmodel::WorkloadSpec;
 use dssoc_apps::standard_library;
-use dssoc_core::des::{DesConfig, DesSimulator};
-use dssoc_core::engine::{Emulation, EmulationConfig, OverheadMode, TimingMode};
-use dssoc_core::job::CostSpec;
+use dssoc_core::des::DesSimulator;
+use dssoc_core::engine::{Emulation, OverheadMode, TimingMode};
+use dssoc_core::job::{CompiledScenario, CostSpec, ScenarioSpec};
 use dssoc_core::FrfsScheduler;
 use dssoc_metrics::MetricsRegistry;
 use dssoc_platform::cost::CostTable;
@@ -77,39 +77,40 @@ fn bench_metrics_overhead(c: &mut Criterion) {
         WorkloadSpec::validation([("range_detection", 64usize)]).generate(&library).unwrap();
     let platform = zcu102(3, 1); // 4 PEs: 3 cores + 1 FFT accelerator
     let table = full_cost_table(&platform);
-    let config = EmulationConfig {
-        timing: TimingMode::Modeled,
-        overhead: OverheadMode::None,
-        cost: CostSpec::table(table.clone()),
-        reservation_depth: 0,
-        trace: None,
-        faults: None,
-        metrics: None,
-    };
+    let spec = ScenarioSpec::builder()
+        .library(library)
+        .platform(platform)
+        .workload(workload)
+        .timing(TimingMode::Modeled)
+        .overhead(OverheadMode::None)
+        .cost(CostSpec::table(table))
+        .build()
+        .unwrap();
+    let scenario = CompiledScenario::compile(spec).unwrap();
 
     let mut g = c.benchmark_group("metrics_overhead");
     g.sample_size(30);
 
     // The warm pool is reused across iterations (as in a sweep), so the
     // measured delta is the per-run metrics cost, not thread spawning.
-    let mut emu = Emulation::with_config(platform.clone(), config.clone()).unwrap();
+    let mut emu = Emulation::new(&scenario).unwrap();
 
     // Metrics are recorded off the emulation clock: enabling them must
     // not move the modeled makespan at all (the <3% budget is about
     // host wall time; the model itself sees 0%).
-    let base = emu.run(&mut FrfsScheduler::new(), &workload, &library).unwrap().makespan;
+    let base = emu.run(&mut FrfsScheduler::new(), &scenario).unwrap().makespan;
     emu.set_metrics(Some(MetricsRegistry::new()));
-    let metered = emu.run(&mut FrfsScheduler::new(), &workload, &library).unwrap().makespan;
+    let metered = emu.run(&mut FrfsScheduler::new(), &scenario).unwrap().makespan;
     emu.set_metrics(None);
     assert_eq!(base, metered, "enabling metrics perturbed the modeled makespan");
 
     g.bench_function("emulator_off", |b| {
-        b.iter(|| black_box(emu.run(&mut FrfsScheduler::new(), &workload, &library).unwrap()))
+        b.iter(|| black_box(emu.run(&mut FrfsScheduler::new(), &scenario).unwrap()))
     });
     let registry = MetricsRegistry::new();
     emu.set_metrics(Some(registry.clone()));
     g.bench_function("emulator_on", |b| {
-        b.iter(|| black_box(emu.run(&mut FrfsScheduler::new(), &workload, &library).unwrap()))
+        b.iter(|| black_box(emu.run(&mut FrfsScheduler::new(), &scenario).unwrap()))
     });
     emu.set_metrics(None);
     assert!(
@@ -118,36 +119,14 @@ fn bench_metrics_overhead(c: &mut Criterion) {
     );
 
     g.bench_function("des_off", |b| {
-        b.iter(|| {
-            let mut des = DesSimulator::new(
-                platform.clone(),
-                DesConfig {
-                    cost: CostSpec::table(table.clone()),
-                    overhead_per_invocation: Duration::ZERO,
-                    trace: None,
-                    faults: None,
-                    metrics: None,
-                },
-            )
-            .unwrap();
-            black_box(des.run(&mut FrfsScheduler::new(), &workload, &library).unwrap())
-        })
+        b.iter(|| black_box(DesSimulator::new().run(&mut FrfsScheduler::new(), &scenario).unwrap()))
     });
     let registry = MetricsRegistry::new();
     g.bench_function("des_on", |b| {
         b.iter(|| {
-            let mut des = DesSimulator::new(
-                platform.clone(),
-                DesConfig {
-                    cost: CostSpec::table(table.clone()),
-                    overhead_per_invocation: Duration::ZERO,
-                    trace: None,
-                    faults: None,
-                    metrics: Some(registry.clone()),
-                },
-            )
-            .unwrap();
-            black_box(des.run(&mut FrfsScheduler::new(), &workload, &library).unwrap())
+            let mut des = DesSimulator::new();
+            des.set_metrics(Some(registry.clone()));
+            black_box(des.run(&mut FrfsScheduler::new(), &scenario).unwrap())
         })
     });
 

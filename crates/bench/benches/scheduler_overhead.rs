@@ -10,12 +10,12 @@ use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::sync::Arc;
 
-use dssoc_appmodel::app::{AppLibrary, ApplicationSpec};
+use dssoc_appmodel::app::ApplicationSpec;
 use dssoc_appmodel::instance::{AppInstance, InstanceId};
 use dssoc_appmodel::json::{AppJson, NodeJson, PlatformJson};
-use dssoc_appmodel::{KernelRegistry, Workload, WorkloadSpec};
-use dssoc_core::engine::{Emulation, EmulationConfig, OverheadMode, TimingMode};
-use dssoc_core::job::CostSpec;
+use dssoc_appmodel::{KernelRegistry, WorkloadSpec};
+use dssoc_core::engine::{Emulation, OverheadMode, TimingMode};
+use dssoc_core::job::{CompiledScenario, CostSpec, ScenarioSpec};
 use dssoc_core::sched::{by_name, EstimateBook, FrfsScheduler, PeView, SchedContext};
 use dssoc_core::task::{ReadyTask, Task};
 use dssoc_core::SimTime;
@@ -99,40 +99,39 @@ fn bench_policies(c: &mut Criterion) {
 /// A small real workload for pool-lifecycle benchmarking: one range
 /// detection instance on a 2C+0F config, modeled timing, no overhead
 /// sampling — the run itself is cheap, so engine setup cost dominates.
-fn pool_setup() -> (AppLibrary, Workload, EmulationConfig) {
+fn pool_setup() -> Arc<CompiledScenario> {
     let (library, _registry) = dssoc_apps::standard_library();
     let workload =
         WorkloadSpec::validation([("range_detection", 1usize)]).generate(&library).unwrap();
-    let config = EmulationConfig {
-        timing: TimingMode::Modeled,
-        overhead: OverheadMode::None,
-        cost: CostSpec::default(),
-        reservation_depth: 0,
-        trace: None,
-        faults: None,
-        metrics: None,
-    };
-    (library, workload, config)
+    let spec = ScenarioSpec::builder()
+        .library(library)
+        .platform(zcu102(2, 0))
+        .workload(workload)
+        .timing(TimingMode::Modeled)
+        .overhead(OverheadMode::None)
+        .cost(CostSpec::default())
+        .build()
+        .unwrap();
+    CompiledScenario::compile(spec).unwrap()
 }
 
 /// Cold spawn vs warm pool: a fresh `Emulation` per run spawns and joins
 /// one thread per PE every iteration; a persistent one parks its
 /// resource managers between runs and reuses them.
 fn bench_pool_reuse(c: &mut Criterion) {
-    let platform = zcu102(2, 0);
-    let (library, workload, config) = pool_setup();
+    let scenario = pool_setup();
     let mut g = c.benchmark_group("pool_lifecycle");
 
     g.bench_function("cold_spawn_per_run", |b| {
         b.iter(|| {
-            let mut emu = Emulation::with_config(platform.clone(), config.clone()).unwrap();
-            black_box(emu.run(&mut FrfsScheduler::new(), &workload, &library).unwrap())
+            let mut emu = Emulation::new(&scenario).unwrap();
+            black_box(emu.run(&mut FrfsScheduler::new(), &scenario).unwrap())
         })
     });
 
     g.bench_function("warm_pool_reuse", |b| {
-        let mut emu = Emulation::with_config(platform.clone(), config.clone()).unwrap();
-        b.iter(|| black_box(emu.run(&mut FrfsScheduler::new(), &workload, &library).unwrap()))
+        let mut emu = Emulation::new(&scenario).unwrap();
+        b.iter(|| black_box(emu.run(&mut FrfsScheduler::new(), &scenario).unwrap()))
     });
 
     g.finish();

@@ -11,9 +11,9 @@ use std::time::Duration;
 
 use dssoc_appmodel::WorkloadSpec;
 use dssoc_apps::standard_library;
-use dssoc_core::des::{DesConfig, DesSimulator};
-use dssoc_core::engine::{Emulation, EmulationConfig, OverheadMode, TimingMode};
-use dssoc_core::job::CostSpec;
+use dssoc_core::des::DesSimulator;
+use dssoc_core::engine::{Emulation, OverheadMode, TimingMode};
+use dssoc_core::job::{CompiledScenario, CostSpec, ScenarioSpec};
 use dssoc_core::FrfsScheduler;
 use dssoc_platform::cost::CostTable;
 use dssoc_platform::pe::PlatformConfig;
@@ -46,30 +46,31 @@ fn bench_trace_overhead(c: &mut Criterion) {
         WorkloadSpec::validation([("range_detection", 64usize)]).generate(&library).unwrap();
     let platform = zcu102(3, 1); // 4 PEs: 3 cores + 1 FFT accelerator
     let table = full_cost_table(&platform);
-    let config = EmulationConfig {
-        timing: TimingMode::Modeled,
-        overhead: OverheadMode::None,
-        cost: CostSpec::table(table.clone()),
-        reservation_depth: 0,
-        trace: None,
-        faults: None,
-        metrics: None,
-    };
+    let spec = ScenarioSpec::builder()
+        .library(library)
+        .platform(platform)
+        .workload(workload)
+        .timing(TimingMode::Modeled)
+        .overhead(OverheadMode::None)
+        .cost(CostSpec::table(table))
+        .build()
+        .unwrap();
+    let scenario = CompiledScenario::compile(spec).unwrap();
 
     let mut g = c.benchmark_group("trace_overhead");
     g.sample_size(30);
 
     // The warm pool is reused across iterations (as in a sweep), so the
     // measured delta is the per-run tracing cost, not thread spawning.
-    let mut emu = Emulation::with_config(platform.clone(), config.clone()).unwrap();
+    let mut emu = Emulation::new(&scenario).unwrap();
     g.bench_function("emulator_off", |b| {
-        b.iter(|| black_box(emu.run(&mut FrfsScheduler::new(), &workload, &library).unwrap()))
+        b.iter(|| black_box(emu.run(&mut FrfsScheduler::new(), &scenario).unwrap()))
     });
     g.bench_function("emulator_on", |b| {
         b.iter(|| {
             let session = TraceSession::new();
             emu.set_trace(Some(session.sink()));
-            let stats = emu.run(&mut FrfsScheduler::new(), &workload, &library).unwrap();
+            let stats = emu.run(&mut FrfsScheduler::new(), &scenario).unwrap();
             emu.set_trace(None);
             assert_eq!(session.dropped(), 0);
             black_box((stats, session.events_recorded()))
@@ -77,36 +78,14 @@ fn bench_trace_overhead(c: &mut Criterion) {
     });
 
     g.bench_function("des_off", |b| {
-        b.iter(|| {
-            let mut des = DesSimulator::new(
-                platform.clone(),
-                DesConfig {
-                    cost: CostSpec::table(table.clone()),
-                    overhead_per_invocation: Duration::ZERO,
-                    trace: None,
-                    faults: None,
-                    metrics: None,
-                },
-            )
-            .unwrap();
-            black_box(des.run(&mut FrfsScheduler::new(), &workload, &library).unwrap())
-        })
+        b.iter(|| black_box(DesSimulator::new().run(&mut FrfsScheduler::new(), &scenario).unwrap()))
     });
     g.bench_function("des_on", |b| {
         b.iter(|| {
             let session = TraceSession::new();
-            let mut des = DesSimulator::new(
-                platform.clone(),
-                DesConfig {
-                    cost: CostSpec::table(table.clone()),
-                    overhead_per_invocation: Duration::ZERO,
-                    trace: Some(session.sink()),
-                    faults: None,
-                    metrics: None,
-                },
-            )
-            .unwrap();
-            let stats = des.run(&mut FrfsScheduler::new(), &workload, &library).unwrap();
+            let mut des = DesSimulator::new();
+            des.set_trace(Some(session.sink()));
+            let stats = des.run(&mut FrfsScheduler::new(), &scenario).unwrap();
             assert_eq!(session.dropped(), 0);
             black_box((stats, session.events_recorded()))
         })

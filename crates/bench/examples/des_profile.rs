@@ -1,5 +1,5 @@
-//! Profiler driver: hammers the warm DES path (`run_compiled` on one
-//! precompiled scenario) so a sampling profiler sees only the hot loop.
+//! Profiler driver: hammers the warm DES path (`DesSimulator::run` on
+//! one precompiled scenario) so a sampling profiler sees only the hot loop.
 //!
 //! ```sh
 //! cargo build --release --example des_profile -p dssoc-bench
@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use dssoc_appmodel::WorkloadSpec;
 use dssoc_apps::standard_library;
-use dssoc_core::des::{DesConfig, DesSimulator};
+use dssoc_core::des::DesSimulator;
 use dssoc_core::job::{CompiledScenario, CostSpec, ScenarioSpec};
 use dssoc_core::sched::by_name;
 use dssoc_platform::cost::CostTable;
@@ -45,31 +45,21 @@ fn main() {
     let scenario = CompiledScenario::compile(
         ScenarioSpec::builder()
             .library(library)
-            .platform(platform.clone())
+            .platform(platform)
             .scheduler("frfs")
             .workload(wl)
-            .cost(CostSpec::table(table.clone()))
+            .cost(CostSpec::table(table))
             .build()
             .expect("scenario"),
     )
     .expect("compile");
-    let mut sim = DesSimulator::new(
-        platform,
-        DesConfig {
-            cost: CostSpec::table(table),
-            overhead_per_invocation: Duration::ZERO,
-            trace: None,
-            faults: None,
-            metrics: None,
-        },
-    )
-    .expect("platform");
+    let mut sim = DesSimulator::new();
     let mut sched = by_name("frfs").expect("library policy");
 
     let mut tasks = 0usize;
     let start = Instant::now();
     for _ in 0..reps {
-        let stats = sim.run_compiled(sched.as_mut(), &scenario).expect("simulation");
+        let stats = sim.run(sched.as_mut(), &scenario).expect("simulation");
         tasks = black_box(stats.tasks.len());
     }
     let elapsed = start.elapsed();

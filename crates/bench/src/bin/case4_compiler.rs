@@ -41,11 +41,19 @@ fn fft_node_time_ms(
     let wl = WorkloadSpec::validation([(opts.app_name.clone(), 1usize)])
         .generate(&library)
         .expect("workload");
+    let spec = ScenarioSpec::builder()
+        .library(library)
+        .platform(zcu102(3, ffts))
+        .scheduler("met")
+        .workload(wl)
+        .build()
+        .expect("scenario");
+    let scenario = CompiledScenario::compile(spec).expect("compiles");
     let mut samples = Vec::new();
     let mut recognized = 0usize;
     for _ in 0..reps {
-        let mut emu = Emulation::new(zcu102(3, ffts)).expect("platform");
-        let stats = emu.run(&mut MetScheduler::new(), &wl, &library).expect("run");
+        let mut emu = Emulation::new(&scenario).expect("platform");
+        let stats = emu.run(&mut MetScheduler::new(), &scenario).expect("run");
         let mem = stats.instance_memory(stats.apps[0].instance).unwrap();
         assert_eq!(read_scalar(mem, "lag"), delay as f64, "output must stay correct");
         let t: f64 = stats

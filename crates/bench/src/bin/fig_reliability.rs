@@ -100,17 +100,12 @@ fn main() {
             })
         })
         .collect();
-    let config = EmulationConfig {
-        timing: TimingMode::Modeled,
-        overhead: OverheadMode::None,
-        cost: CostSpec::table(full_cost_table(&platform)),
-        reservation_depth: 0,
-        trace: None,
-        faults: None,
-        metrics: None,
-    };
+    let base = ScenarioSpec::builder()
+        .timing(TimingMode::Modeled)
+        .overhead(OverheadMode::None)
+        .cost(CostSpec::table(full_cost_table(&platform)));
     let results = run_sweep_with_progress(
-        SweepRunner::with_config(&library, config),
+        SweepRunner::with_base(&library, Engine::Threaded, base),
         &cells,
         sweep_workers(1),
     )

@@ -21,17 +21,18 @@ use std::time::Duration;
 use dssoc_apps::standard_library;
 use dssoc_bench::report::BenchReport;
 use dssoc_bench::table2_workload;
-use dssoc_core::engine::{Emulation, EmulationConfig, OverheadMode, TimingMode};
-use dssoc_core::job::CostSpec;
+use dssoc_core::engine::{OverheadMode, TimingMode};
+use dssoc_core::job::{CostSpec, Engine, JobRunner, ScenarioSpec};
 use dssoc_core::platform_preset;
-use dssoc_core::sched::by_name;
 
 fn main() {
     let rate: f64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(4.57);
     let frame_ms: u64 = std::env::args().nth(2).and_then(|s| s.parse().ok()).unwrap_or(60);
     let (library, _registry) = standard_library();
     let platform = Arc::new(platform_preset("zcu102:3C+2F").expect("preset"));
-    let workload = table2_workload(&library, rate, Duration::from_millis(frame_ms), true, 42);
+    let workload =
+        Arc::new(table2_workload(&library, rate, Duration::from_millis(frame_ms), true, 42));
+    let library = Arc::new(library);
 
     println!("== future work: PE-level reservation queues on 3C+2F ==");
     println!("   rate {rate} jobs/ms over {frame_ms} ms ({} arrivals)", workload.len());
@@ -42,18 +43,18 @@ fn main() {
     for name in ["frfs", "met", "eft"] {
         let mut res = Vec::new();
         for depth in [0usize, 4] {
-            let cfg = EmulationConfig {
-                timing: TimingMode::Modeled,
-                overhead: OverheadMode::Measured,
-                cost: CostSpec::default(),
-                reservation_depth: depth,
-                trace: None,
-                faults: None,
-                metrics: None,
-            };
-            let mut emu = Emulation::with_config(Arc::clone(&platform), cfg).expect("platform");
-            let mut sched = by_name(name).expect("policy");
-            let stats = emu.run(sched.as_mut(), &workload, &library).expect("run");
+            let spec = ScenarioSpec::builder()
+                .library(Arc::clone(&library))
+                .platform(Arc::clone(&platform))
+                .scheduler(name)
+                .workload(Arc::clone(&workload))
+                .timing(TimingMode::Modeled)
+                .overhead(OverheadMode::Measured)
+                .cost(CostSpec::default())
+                .reservation_depth(depth)
+                .build()
+                .expect("scenario");
+            let stats = JobRunner::new().run_spec(spec, Engine::Threaded).expect("run").stats;
             res.push(stats.makespan.as_secs_f64() * 1e3);
         }
         println!(

@@ -20,12 +20,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dssoc_appmodel::{InjectionParams, WorkloadSpec};
-use dssoc_core::des::DesConfig;
-use dssoc_core::engine::{EmulationConfig, OverheadMode, TimingMode};
+use dssoc_core::engine::TimingMode;
 use dssoc_core::fault::FaultSpec;
-use dssoc_core::job::{platform_preset, CostSpec, Engine};
+use dssoc_core::job::{platform_preset, Engine, ScenarioSpec};
 use dssoc_core::stats::EmulationStats;
-use dssoc_core::sweep::{default_workers, DesSweepRunner, SweepCell, SweepProgress, SweepRunner};
+use dssoc_core::sweep::{default_workers, SweepCell, SweepProgress, SweepRunner};
 use dssoc_metrics::{MetricsRegistry, MetricsServer, MetricsSnapshot};
 use dssoc_platform::pe::PlatformConfig;
 use dssoc_trace::TraceSession;
@@ -313,50 +312,29 @@ pub fn execute(run: &RunArgs) -> Result<RunOutcome, String> {
     let session = run.trace.as_ref().map(|_| TraceSession::new());
     let progress = SweepProgress::new();
     let watcher = run.progress.then(|| progress.watch_stderr(Duration::from_millis(200)));
-    // Both arms lower the cell to a ScenarioSpec inside the sweep
-    // runners and execute through the JobRunner. The batch API clamps
-    // the worker count to the grid size, so this single cell runs
+    // The runner lowers the cell to a ScenarioSpec and executes it
+    // through the JobRunner; the DES ignores timing and reservation
+    // depth and, with no measured kernel times, stands a deterministic
+    // cost table (JSON profile estimates underneath) in for the
+    // threaded engine's scaled measurements. The batch API clamps the
+    // worker count to the grid size, so this single cell runs
     // sequentially on the runner's own warm engine; CLI grids grown
     // beyond one cell parallelize for free.
-    let result = match run.engine {
-        Engine::Threaded => {
-            let cfg = EmulationConfig {
-                timing: run.timing,
-                overhead: OverheadMode::Measured,
-                cost: CostSpec::default(),
-                reservation_depth: run.reservation_depth,
-                trace: None,
-                faults: None,
-                metrics: registry.clone(),
-            };
-            let mut runner = SweepRunner::with_config(&library, cfg);
-            if let Some(reg) = &registry {
-                runner.cache().attach_metrics(reg);
-            }
-            if let Some(session) = &session {
-                runner.trace_cell(cell.label.clone(), session.sink());
-            }
-            runner.set_progress(progress.clone());
-            runner.run_batch_parallel(std::slice::from_ref(&cell), default_workers())
-        }
-        Engine::Des => {
-            // DES runs carry no measured kernel times: a deterministic
-            // cost table (JSON profile estimates underneath) stands in.
-            let cfg = DesConfig { metrics: registry.clone(), ..DesConfig::default() };
-            let mut runner = DesSweepRunner::with_config(&library, cfg);
-            if let Some(reg) = &registry {
-                runner.cache().attach_metrics(reg);
-            }
-            if let Some(session) = &session {
-                runner.trace_cell(cell.label.clone(), session.sink());
-            }
-            runner.set_progress(progress.clone());
-            runner.run_batch_parallel(std::slice::from_ref(&cell), default_workers())
-        }
+    let base = ScenarioSpec::builder().timing(run.timing).reservation_depth(run.reservation_depth);
+    let mut runner = SweepRunner::with_base(&library, run.engine, base);
+    runner.set_metrics(registry.clone());
+    if let Some(reg) = &registry {
+        runner.cache().attach_metrics(reg);
     }
-    .map_err(|e| e.to_string())?
-    .pop()
-    .expect("one cell in, one result out");
+    if let Some(session) = &session {
+        runner.trace_cell(cell.label.clone(), session.sink());
+    }
+    runner.set_progress(progress.clone());
+    let result = runner
+        .run_batch_parallel(std::slice::from_ref(&cell), default_workers())
+        .map_err(|e| e.to_string())?
+        .pop()
+        .expect("one cell in, one result out");
     drop(watcher);
     if let (Some(path), Some(session)) = (&run.trace, &session) {
         write_trace(path, session)?;

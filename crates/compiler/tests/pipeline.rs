@@ -40,8 +40,14 @@ fn glue_only_program_still_runs_in_the_emulator() {
     let mut library = AppLibrary::new();
     library.register_json(&app.json, &app.registry).unwrap();
     let wl = WorkloadSpec::validation([("straight", 1usize)]).generate(&library).unwrap();
-    let mut emu = dssoc_core::Emulation::new(dssoc_platform::presets::zcu102(1, 0)).unwrap();
-    let stats = emu.run(&mut dssoc_core::FrfsScheduler::new(), &wl, &library).unwrap();
+    let spec = dssoc_core::ScenarioSpec::builder()
+        .library(library)
+        .platform(dssoc_platform::presets::zcu102(1, 0))
+        .workload(wl)
+        .build()
+        .unwrap();
+    let job = dssoc_core::JobRunner::new().run_spec(spec, dssoc_core::Engine::Threaded).unwrap();
+    let stats = job.stats;
     let mem = stats.instance_memory(stats.apps[0].instance).unwrap();
     let y = f64::from_le_bytes(mem.read_bytes("y").unwrap()[..8].try_into().unwrap());
     assert_eq!(y, 42.0);

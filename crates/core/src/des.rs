@@ -53,6 +53,7 @@
 //!   assignments into a reused buffer ([`Scheduler::schedule_into`]).
 //!
 //! [`CostTable`]: dssoc_platform::cost::CostTable
+//! [`Workload::instantiate_shared`]: dssoc_appmodel::workload::Workload::instantiate_shared
 //! [`OverheadMode::None`]: crate::engine::OverheadMode::None
 //! [`TimingMode::Modeled`]: crate::engine::TimingMode::Modeled
 
@@ -60,134 +61,70 @@ use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use dssoc_appmodel::app::AppLibrary;
-use dssoc_appmodel::instance::{AppInstance, InstanceId};
-use dssoc_appmodel::workload::Workload;
+use dssoc_appmodel::instance::InstanceId;
 use dssoc_metrics::MetricsRegistry;
-use dssoc_platform::cost::{CostModel, CostTable};
 use dssoc_platform::pe::{PeId, PlatformConfig};
 use dssoc_trace::{EventKind as TraceKind, TraceSink};
 
 use crate::arena::{CompletionEvent, DenseReady, DesScratch, RetryEntry};
-use crate::engine::EmuError;
+use crate::engine::{EmuError, OverheadMode};
 use crate::exec::{
-    pe_mask_bit, preflight_compat, register_trace_meta, resolve_unschedulable,
-    validate_assignments_with, CompletionSink, ExecTracer, PeSlots, ReadyList,
+    pe_mask_bit, register_trace_meta, resolve_unschedulable, validate_assignments_with,
+    CompletionSink, ExecTracer, PeSlots, ReadyList,
 };
-use crate::fault::{FaultPlan, FaultSpec, FaultState};
-use crate::intern::{Interner, NameTable};
-use crate::job::{build_cost_grid, CompiledScenario, CostSpec, Fingerprint};
+use crate::fault::FaultState;
+use crate::intern::NameTable;
+use crate::job::CompiledScenario;
 use crate::metrics::{ExecMetrics, OverheadPhase};
-use crate::sched::{Assignment, EstimateBook, EstimateSlot, PeView, SchedContext, Scheduler};
+use crate::sched::{Assignment, EstimateSlot, PeView, SchedContext, Scheduler};
 use crate::soa::{ScenarioSoa, INCOMPATIBLE};
 use crate::stats::{AppRecord, DenseTaskLog, EmulationStats, TaskRecord};
 use crate::task::ReadyTask;
 use crate::task::Task;
 use crate::time::SimTime;
 
-/// DES configuration.
-#[derive(Clone)]
-pub struct DesConfig {
-    /// Cost source for task durations (typically a calibrated
-    /// [`CostTable`] behind [`CostSpec::Table`]).
-    pub cost: CostSpec,
-    /// Optional fixed scheduling overhead charged per scheduler
-    /// invocation (zero = the classic free-scheduling DES).
-    pub overhead_per_invocation: Duration,
+/// The discrete-event simulator.
+///
+/// Holds only a warm [`DesScratch`] arena and its observers: the
+/// platform, cost slabs, overhead charge, and fault plan all come from
+/// the [`CompiledScenario`] each run is handed, so one simulator serves
+/// any scenario. A long-lived simulator (a
+/// [`JobRunner`](crate::job::JobRunner) engine, a sweep worker) reuses
+/// every hot-loop buffer across runs — which is why [`Self::run`] takes
+/// `&mut self`.
+#[derive(Default)]
+pub struct DesSimulator {
     /// Optional event-trace sink. The DES emits the same event schema
     /// as the threaded engine through the shared scheduling core, so
     /// traces from the two engines diff cleanly. (It has no resource
     /// pool or DMA phases, so `pool_*` and `dma` events never appear.)
-    pub trace: Option<TraceSink>,
-    /// Optional deterministic fault-injection spec. The DES models the
-    /// same seeded plan the threaded engine injects, in virtual time —
-    /// which is what extends the cross-engine differential tests to
-    /// faulty runs.
-    pub faults: Option<Arc<FaultSpec>>,
+    trace: Option<TraceSink>,
     /// Optional live-metrics registry. The DES publishes the same
     /// metric families as the threaded engine through the shared
     /// scheduling core, so dashboards and the cross-engine metrics
     /// differential test see one schema.
-    pub metrics: Option<MetricsRegistry>,
-}
-
-impl Default for DesConfig {
-    fn default() -> Self {
-        DesConfig {
-            cost: CostSpec::table(CostTable::new()),
-            overhead_per_invocation: Duration::ZERO,
-            trace: None,
-            faults: None,
-            metrics: None,
-        }
-    }
-}
-
-impl std::fmt::Debug for DesConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DesConfig")
-            .field("cost", &self.cost)
-            .field("overhead_per_invocation", &self.overhead_per_invocation)
-            .field("traced", &self.trace.is_some())
-            .field("faulted", &self.faults.is_some())
-            .field("metered", &self.metrics.is_some())
-            .finish()
-    }
-}
-
-/// The discrete-event simulator.
-///
-/// Holds a warm [`DesScratch`] arena, so a long-lived simulator (a
-/// [`JobRunner`](crate::job::JobRunner) engine, a sweep worker) reuses
-/// every hot-loop buffer across runs — which is why [`Self::run`] and
-/// [`Self::run_compiled`] take `&mut self`.
-pub struct DesSimulator {
-    platform: Arc<PlatformConfig>,
-    config: DesConfig,
-    /// The resolved cost model (from `config.cost`).
-    cost: Arc<dyn CostModel>,
+    metrics: Option<MetricsRegistry>,
     /// Cooperative-cancel flag, polled once per event-loop iteration.
-    /// Lives on the simulator (not `DesConfig`) so existing config
-    /// struct literals stay valid; installed per run by `set_cancel`.
     cancel: Option<Arc<AtomicBool>>,
     /// Warm per-simulator buffers, reset (not freed) between runs.
     scratch: DesScratch,
 }
 
 impl DesSimulator {
-    /// Builds a simulator for a platform. The platform is `Arc`-shared:
-    /// pass an existing `Arc<PlatformConfig>` to avoid a deep clone.
-    pub fn new(
-        platform: impl Into<Arc<PlatformConfig>>,
-        config: DesConfig,
-    ) -> Result<Self, EmuError> {
-        let platform = platform.into();
-        platform.validate().map_err(EmuError::Config)?;
-        let cost = config.cost.resolve();
-        Ok(DesSimulator { platform, config, cost, cancel: None, scratch: DesScratch::default() })
-    }
-
-    /// The platform being simulated.
-    pub fn platform(&self) -> &PlatformConfig {
-        &self.platform
-    }
-
-    /// Installs (or, with `None`, removes) a fault-injection spec.
-    /// Subsequent [`Self::run`] calls compile it against the platform
-    /// and model the resulting plan in virtual time.
-    pub fn set_faults(&mut self, faults: Option<Arc<FaultSpec>>) {
-        self.config.faults = faults;
+    /// A simulator with cold scratch and no observers.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Installs (or, with `None`, removes) a trace sink. Subsequent runs
     /// record into the sink's session.
     pub fn set_trace(&mut self, trace: Option<TraceSink>) {
-        self.config.trace = trace;
+        self.trace = trace;
     }
 
     /// Installs (or, with `None`, removes) a live-metrics registry.
     pub fn set_metrics(&mut self, metrics: Option<MetricsRegistry>) {
-        self.config.metrics = metrics;
+        self.metrics = metrics;
     }
 
     /// Installs (or, with `None`, removes) a cooperative-cancel flag.
@@ -200,79 +137,18 @@ impl DesSimulator {
         self.cancel = cancel;
     }
 
-    /// Simulates a workload to completion under `scheduler`.
+    /// Simulates a compiled scenario to completion under `scheduler`,
+    /// reusing its shared instance images, name table, SoA cost slabs,
+    /// slot-assigned estimate book, and fault plan — nothing
+    /// scenario-derived is rebuilt. The scenario's
+    /// [`OverheadMode::Fixed`] duration is charged per scheduler
+    /// invocation; the other modes schedule for free. Consecutive runs
+    /// of the same scenario additionally skip the estimate-book rebuild
+    /// (a values-only reset, keyed on the scenario fingerprint).
     pub fn run(
         &mut self,
         scheduler: &mut dyn Scheduler,
-        workload: &Workload,
-        library: &AppLibrary,
-    ) -> Result<EmulationStats, EmuError> {
-        // Compatibility pre-flight, shared with the emulator.
-        preflight_compat(&self.platform, workload, library)?;
-        // The DES never executes a kernel, so instance memory is never
-        // written: instances of one application can share a single
-        // initialized image instead of each allocating its own.
-        let instances: Vec<Arc<AppInstance>> =
-            workload.instantiate_shared(library)?.into_iter().map(Arc::new).collect();
-
-        let mut interner = Interner::new();
-        let names = Arc::new(NameTable::build(&instances, &self.platform, &mut interner));
-
-        // The DES observes completions into an estimate book exactly like
-        // the emulator, so estimate-driven policies (MET/EFT) see the
-        // same context in both engines. Per-(spec, node, PE column)
-        // dispatch costs are resolved once into a dense grid, then
-        // flattened into SoA slabs; the scheduler contract keeps
-        // incompatible (sentinel) combinations from ever dispatching.
-        let mut estimates = EstimateBook::new();
-        let costs =
-            build_cost_grid(&*self.cost, &self.platform, &names, &instances, &mut estimates);
-        let soa = ScenarioSoa::build(&instances, &names, &costs, self.platform.pes.len());
-
-        let plan: Option<FaultPlan> = match &self.config.faults {
-            Some(spec) => Some(spec.compile(&self.platform).map_err(EmuError::Config)?),
-            None => None,
-        };
-
-        // No fingerprint: the estimate book was built for this call
-        // only, so the warm values-only reset never applies.
-        self.run_inner(scheduler, &instances, &names, &soa, &estimates, None, plan.as_ref())
-    }
-
-    /// Simulates a precompiled scenario, reusing its shared instance
-    /// images, name table, SoA cost slabs, slot-assigned estimate book,
-    /// and fault plan — nothing scenario-derived is rebuilt.
-    /// Compatibility was preflighted at compile time. Consecutive runs
-    /// of the same scenario additionally skip the estimate-book rebuild
-    /// (a values-only reset, keyed on the scenario fingerprint).
-    pub fn run_compiled(
-        &mut self,
-        scheduler: &mut dyn Scheduler,
         scenario: &CompiledScenario,
-    ) -> Result<EmulationStats, EmuError> {
-        self.run_inner(
-            scheduler,
-            scenario.instances(),
-            &scenario.names,
-            scenario.soa(),
-            scenario.estimates_ref(),
-            Some(scenario.fingerprint()),
-            scenario.plan(),
-        )
-    }
-
-    /// Splits the warm scratch out of `self` (so the loop can borrow
-    /// `&self` and the arena disjointly) and guarantees it returns.
-    #[allow(clippy::too_many_arguments)]
-    fn run_inner(
-        &mut self,
-        scheduler: &mut dyn Scheduler,
-        instances: &[Arc<AppInstance>],
-        names: &Arc<NameTable>,
-        soa: &ScenarioSoa,
-        est_proto: &EstimateBook,
-        est_ident: Option<Fingerprint>,
-        plan: Option<&FaultPlan>,
     ) -> Result<EmulationStats, EmuError> {
         let mut scratch = std::mem::take(&mut self.scratch);
         // The fully-dense loop: FRFS-exact policy, bitmask-sized
@@ -281,55 +157,46 @@ impl DesSimulator {
         // policy. Everything else takes the general loop.
         let dense_loop = scheduler.dense_fifo()
             && !scheduler.uses_estimates()
-            && self.platform.pes.len() <= 64
-            && plan.is_none()
-            && self.config.trace.is_none()
-            && self.config.metrics.is_none();
+            && scenario.spec().platform.pes.len() <= 64
+            && scenario.plan().is_none()
+            && self.trace.is_none()
+            && self.metrics.is_none();
         let result = if dense_loop {
-            self.run_loop_dense(scheduler, instances, names, soa, &mut scratch)
+            self.run_loop_dense(scheduler, scenario, &mut scratch)
         } else {
-            self.run_loop(
-                scheduler,
-                instances,
-                names,
-                soa,
-                est_proto,
-                est_ident,
-                plan,
-                &mut scratch,
-            )
+            self.run_loop(scheduler, scenario, &mut scratch)
         };
         self.scratch = scratch;
         result
     }
 
-    /// The event loop. `names`/`soa`/`est_proto`/`plan` are
-    /// scenario-scoped precomputations: [`Self::run`] builds them per
-    /// call, [`Self::run_compiled`] hands in the compiled-once shared
-    /// ones. All per-run growable state comes from (and returns to) the
-    /// scratch arena.
-    #[allow(clippy::too_many_arguments)]
+    /// The event loop. All scenario-scoped state (names, SoA slabs,
+    /// estimate prototype, fault plan) is the compiled scenario's; all
+    /// per-run growable state comes from (and returns to) the scratch
+    /// arena.
     fn run_loop(
         &self,
         scheduler: &mut dyn Scheduler,
-        instances: &[Arc<AppInstance>],
-        names_arc: &Arc<NameTable>,
-        soa: &ScenarioSoa,
-        est_proto: &EstimateBook,
-        est_ident: Option<Fingerprint>,
-        plan: Option<&FaultPlan>,
+        scenario: &CompiledScenario,
         s: &mut DesScratch,
     ) -> Result<EmulationStats, EmuError> {
+        let platform: &PlatformConfig = &scenario.spec().platform;
+        let instances = scenario.instances();
+        let names_arc = &scenario.names;
         let names: &NameTable = names_arc;
+        let soa = scenario.soa();
+        let plan = scenario.plan();
+        let charge = overhead_charge(scenario);
         s.reset();
         // Estimate-book reuse: during a run only `observe_at` touches the
         // book (slots are resolved at scenario compile), so a book whose
         // slot map came from this same scenario needs only its values
         // restored — a memcpy instead of rebuilding two hash maps.
-        if est_ident.is_some() && s.est_src == est_ident {
-            s.estimates.reset_values_from(est_proto);
+        let est_ident = Some(scenario.fingerprint());
+        if s.est_src == est_ident {
+            s.estimates.reset_values_from(scenario.estimates_ref());
         } else {
-            s.estimates.reset_from(est_proto);
+            s.estimates.reset_from(scenario.estimates_ref());
         }
         s.est_src = est_ident;
 
@@ -383,8 +250,8 @@ impl DesSimulator {
         let mut next_arrival = 0usize;
         let mut event_seq = 0u64;
 
-        let metrics = match &self.config.metrics {
-            Some(registry) => ExecMetrics::attach(registry, &self.platform, instances),
+        let metrics = match &self.metrics {
+            Some(registry) => ExecMetrics::attach(registry, platform, instances),
             None => ExecMetrics::disabled(),
         };
         let mut ready = ReadyList::recycled(std::mem::take(ready_buf));
@@ -392,7 +259,7 @@ impl DesSimulator {
         // DES PEs have no reservation queues (depth 0); the busy map
         // holds *exact* finish times — the simulator's one luxury over
         // the emulator's estimates.
-        let mut slots = PeSlots::new(self.platform.pes.len(), 0);
+        let mut slots = PeSlots::new(platform.pes.len(), 0);
         slots.set_metrics(metrics.clone());
 
         // ---- Fault machinery (all empty/None without a fault spec).
@@ -401,15 +268,15 @@ impl DesSimulator {
         // The platform key a PE dispatches as, for degraded-dispatch
         // detection (same comparison the threaded engine makes).
         let pe_platform_key =
-            |pe: PeId| names.pe_column(pe).map(|col| self.platform.pes[col].platform_key.as_str());
+            |pe: PeId| names.pe_column(pe).map(|col| platform.pes[col].platform_key.as_str());
 
         let mut sink = CompletionSink::new();
         sink.reserve_apps(instances.len());
-        let tracer = match &self.config.trace {
+        let tracer = match &self.trace {
             Some(trace_sink) => {
                 register_trace_meta(
                     trace_sink,
-                    &self.platform,
+                    platform,
                     &format!("{} (DES)", scheduler.name()),
                     instances,
                 );
@@ -426,7 +293,7 @@ impl DesSimulator {
         // FRFS-exact policies take the dense assignment path (the
         // per-round PE mask caps it at 64 PEs — larger platforms fall
         // back to the general scheduler machinery).
-        let dense = scheduler.dense_fifo() && self.platform.pes.len() <= 64;
+        let dense = scheduler.dense_fifo() && platform.pes.len() <= 64;
         // The EWMA estimate book is scratch state, never part of the
         // run's output: skip maintaining it when nothing can read it
         // (no estimate-driven policy, no fault plan deriving hang
@@ -458,7 +325,7 @@ impl DesSimulator {
             for ev in due.iter() {
                 let id = InstanceId(ev.inst as u64);
                 let node_idx = ev.node as usize;
-                let pe = self.platform.pes[ev.col as usize].id;
+                let pe = platform.pes[ev.col as usize].id;
                 // Faulted attempt: no task record, no estimate update,
                 // no DAG progress — run the recovery policy instead
                 // (identical to the threaded engine's fault branch).
@@ -574,7 +441,7 @@ impl DesSimulator {
             // passes them (busy PEs die through their in-flight
             // attempt's fault decision instead).
             if let Some(plan) = plan {
-                for pe in &self.platform.pes {
+                for pe in &platform.pes {
                     if slots.is_failed(pe.id) || slots.is_busy(pe.id) {
                         continue;
                     }
@@ -595,25 +462,17 @@ impl DesSimulator {
                     // semantics, so the engine computes the identical
                     // assignment set straight off the SoA slabs — no
                     // `PeView` materialization, no virtual dispatch.
-                    dense_fifo_assign(
-                        soa,
-                        names,
-                        &slots,
-                        &self.platform,
-                        ready.pending(),
-                        assignments,
-                    );
+                    dense_fifo_assign(soa, names, &slots, platform, ready.pending(), assignments);
                 } else {
                     views.clear();
-                    views.extend(self.platform.pes.iter().map(|pe| slots.view(pe, clock)));
+                    views.extend(platform.pes.iter().map(|pe| slots.view(pe, clock)));
                     let ctx = SchedContext { now: clock, estimates: &*estimates };
                     scheduler.schedule_into(ready.pending(), &views, &ctx, assignments);
                 }
                 sink.note_sched_invocation();
                 if tracer.enabled() {
                     // `has_room` is exactly the `idle` the views carry.
-                    let candidates = self
-                        .platform
+                    let candidates = platform
                         .pes
                         .iter()
                         .filter(|pe| slots.has_room(pe.id))
@@ -630,7 +489,6 @@ impl DesSimulator {
                         },
                     );
                 }
-                let charge = self.config.overhead_per_invocation;
                 sink.charge_overhead(OverheadPhase::Schedule, charge);
 
                 // The same contract check the emulator runs, with the
@@ -695,7 +553,7 @@ impl DesSimulator {
                         // threaded engine derives at its dispatch, since
                         // both engines observe completions identically.
                         let est = estimates
-                            .estimate(&rt.task, &self.platform.pes[col])
+                            .estimate(&rt.task, &platform.pes[col])
                             .unwrap_or(Duration::from_micros(100));
                         if let Some(d) = plan.decide(
                             spec.runfunc[cell].as_str(),
@@ -744,12 +602,7 @@ impl DesSimulator {
                     // abort those apps and re-evaluate.
                     let resolved = match fstate.as_mut() {
                         Some(state) => resolve_unschedulable(
-                            &self.platform,
-                            &mut slots,
-                            &mut ready,
-                            state,
-                            &mut sink,
-                            names,
+                            platform, &mut slots, &mut ready, state, &mut sink, names,
                         )?,
                         None => false,
                     };
@@ -776,30 +629,32 @@ impl DesSimulator {
             let dense = DenseTaskLog {
                 cols: std::mem::take(done),
                 names: Arc::clone(names_arc),
-                pes: self.platform.pes.iter().map(|pe| pe.id).collect(),
+                pes: platform.pes.iter().map(|pe| pe.id).collect(),
             };
-            Ok(sink.finish_dense(&self.platform, label, instances.to_vec(), dense))
+            Ok(sink.finish_dense(platform, label, instances.to_vec(), dense))
         } else {
-            Ok(sink.finish(&self.platform, label, instances.to_vec()))
+            Ok(sink.finish(platform, label, instances.to_vec()))
         }
     }
 
     /// The dense fast loop: FRFS computed in-engine over an `Arc`-free
     /// ready ring, PE state as one idle bitmask, and completion facts
     /// appended straight to the SoA columns. Taken only when nothing
-    /// needs the general machinery (see the gate in [`Self::run_inner`])
+    /// needs the general machinery (see the gate in [`Self::run`])
     /// — and pinned bit-identical to [`Self::run_loop`] over the same
     /// inputs by the `dense_loop_matches_general_loop` test and the
     /// cross-engine differential suites.
     fn run_loop_dense(
         &self,
         scheduler: &mut dyn Scheduler,
-        instances: &[Arc<AppInstance>],
-        names_arc: &Arc<NameTable>,
-        soa: &ScenarioSoa,
+        scenario: &CompiledScenario,
         s: &mut DesScratch,
     ) -> Result<EmulationStats, EmuError> {
+        let platform: &PlatformConfig = &scenario.spec().platform;
+        let instances = scenario.instances();
+        let names_arc = &scenario.names;
         let names: &NameTable = names_arc;
+        let soa = scenario.soa();
         s.reset();
         let DesScratch {
             inst_base,
@@ -847,13 +702,13 @@ impl DesSimulator {
 
         let mut sink = CompletionSink::new();
         sink.reserve_apps(instances.len());
-        let n_pes = self.platform.pes.len();
+        let n_pes = platform.pes.len();
         // Idle-PE bitmask over platform columns: `free & compat`'s
         // lowest set bit is exactly "first idle compatible PE in
         // descriptor order" — FRFS's placement rule.
         let all_free: u64 = if n_pes >= 64 { u64::MAX } else { (1u64 << n_pes) - 1 };
         let mut free = all_free;
-        let charge = self.config.overhead_per_invocation;
+        let charge = overhead_charge(scenario);
         let mut clock = SimTime::ZERO;
         let mut head = 0usize;
 
@@ -973,14 +828,23 @@ impl DesSimulator {
         let dense = DenseTaskLog {
             cols: std::mem::take(done),
             names: Arc::clone(names_arc),
-            pes: self.platform.pes.iter().map(|pe| pe.id).collect(),
+            pes: platform.pes.iter().map(|pe| pe.id).collect(),
         };
         Ok(sink.finish_dense(
-            &self.platform,
+            platform,
             format!("{} (DES)", scheduler.name()),
             instances.to_vec(),
             dense,
         ))
+    }
+}
+
+/// The per-invocation scheduling charge: the scenario's fixed overhead,
+/// or nothing (the classic free-scheduling DES).
+fn overhead_charge(scenario: &CompiledScenario) -> Duration {
+    match scenario.spec().overhead {
+        OverheadMode::Fixed(d) => d,
+        OverheadMode::Measured | OverheadMode::None => Duration::ZERO,
     }
 }
 

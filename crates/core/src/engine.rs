@@ -32,22 +32,19 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dssoc_appmodel::app::AppLibrary;
 use dssoc_appmodel::error::ModelError;
 use dssoc_appmodel::instance::{AppInstance, InstanceId};
-use dssoc_appmodel::workload::Workload;
 use dssoc_metrics::MetricsRegistry;
 use dssoc_platform::pe::{PeId, PlatformConfig};
 use dssoc_trace::{EventKind as TraceKind, FaultKind, TraceSink};
 
 use crate::exec::{
-    pe_mask_bit, preflight_compat, register_trace_meta, resolve_unschedulable,
-    validate_assignments, CompletionSink, ExecTracer, InstanceTracker, PeSlots, ReadyList,
+    pe_mask_bit, register_trace_meta, resolve_unschedulable, validate_assignments, CompletionSink,
+    ExecTracer, InstanceTracker, PeSlots, ReadyList,
 };
-use crate::fault::{FaultDecision, FaultPlan, FaultSpec, FaultState};
+use crate::fault::{FaultDecision, FaultState};
 use crate::handler::{ResourceHandler, TaskAssignment, TaskCompletion};
-use crate::intern::{Interner, NameTable};
-use crate::job::{CompiledScenario, CostSpec};
+use crate::job::{pool_mismatch, CompiledScenario, CostSpec};
 use crate::metrics::{ExecMetrics, OverheadPhase};
 use crate::resource::ResourcePool;
 use crate::sched::{EstimateBook, PeView, SchedContext, Scheduler};
@@ -79,71 +76,6 @@ pub enum OverheadMode {
     Fixed(Duration),
     /// Charge nothing (what a discrete-event simulator implicitly does).
     None,
-}
-
-/// Engine configuration.
-#[derive(Clone)]
-pub struct EmulationConfig {
-    /// Timing mode.
-    pub timing: TimingMode,
-    /// Overhead charging mode.
-    pub overhead: OverheadMode,
-    /// Cost specification for CPU task durations in
-    /// [`TimingMode::Modeled`]; resolved to a
-    /// [`CostModel`](dssoc_platform::cost::CostModel) when the resource
-    /// pool is spawned.
-    pub cost: CostSpec,
-    /// PE-level reservation-queue depth — the paper's stated future work
-    /// ("abstractions like PE-level work queues to enable lower-overhead
-    /// task dispatch"). `0` reproduces the paper's evaluated behaviour:
-    /// the scheduler runs on every task completion and each dispatch
-    /// pays scheduling overhead. With depth `k > 0`, a scheduler may
-    /// assign up to `k` additional tasks to a busy PE; the PE starts a
-    /// queued task the instant the previous one finishes, with no
-    /// workload-manager involvement charged.
-    pub reservation_depth: usize,
-    /// Optional event-trace sink (see the `dssoc-trace` crate). `None`
-    /// — the default — costs one branch per would-be event; `Some`
-    /// records the full emulation lifecycle into the sink's session for
-    /// Chrome/Perfetto, Gantt, and JSONL export.
-    pub trace: Option<TraceSink>,
-    /// Optional deterministic fault-injection spec (see [`FaultSpec`]).
-    /// `None` — the default — keeps every fault-recovery path compiled
-    /// out of the hot loop behind one branch.
-    pub faults: Option<Arc<FaultSpec>>,
-    /// Optional live-metrics registry (see the `dssoc-metrics` crate).
-    /// `None` — the default — costs one branch per would-be sample;
-    /// `Some` publishes counters/gauges/histograms that any thread can
-    /// snapshot mid-run or expose over HTTP.
-    pub metrics: Option<MetricsRegistry>,
-}
-
-impl Default for EmulationConfig {
-    fn default() -> Self {
-        EmulationConfig {
-            timing: TimingMode::Modeled,
-            overhead: OverheadMode::Measured,
-            cost: CostSpec::default(),
-            reservation_depth: 0,
-            trace: None,
-            faults: None,
-            metrics: None,
-        }
-    }
-}
-
-impl std::fmt::Debug for EmulationConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EmulationConfig")
-            .field("timing", &self.timing)
-            .field("overhead", &self.overhead)
-            .field("cost", &self.cost)
-            .field("reservation_depth", &self.reservation_depth)
-            .field("traced", &self.trace.is_some())
-            .field("faulted", &self.faults.is_some())
-            .field("metered", &self.metrics.is_some())
-            .finish()
-    }
 }
 
 /// Errors surfaced by an emulation run.
@@ -365,14 +297,22 @@ fn release_pe(
 /// [`ResourcePool`].
 ///
 /// Construction brings up the pool (paper §II-A's initialization phase:
-/// handlers plus one named resource-manager thread per PE); each
-/// [`Self::run`] call executes one workload against it and the threads
-/// park between runs, so a batch sweep pays thread-spawn cost once. The
-/// pool is shut down and joined when the `Emulation` is dropped.
+/// handlers plus one named resource-manager thread per PE) from what a
+/// pool is made of — the scenario's platform, timing mode, and cost
+/// model. Each [`Self::run`] call executes one compiled scenario against
+/// it, reading everything else (overhead, reservation depth, fault plan)
+/// from the scenario; the threads park between runs, so a batch sweep
+/// pays thread-spawn cost once. The pool is shut down and joined when
+/// the `Emulation` is dropped.
 pub struct Emulation {
     platform: Arc<PlatformConfig>,
-    config: EmulationConfig,
+    timing: TimingMode,
+    cost: CostSpec,
+    /// Pool key of the three fields above (see `job::pool_key`).
+    key: u64,
     pool: ResourcePool,
+    trace: Option<TraceSink>,
+    metrics: Option<MetricsRegistry>,
     /// PEs whose resource-manager thread wedged (watchdog fired and the
     /// thread never reported back). They are excluded from end-of-run
     /// drains and start subsequent runs quarantined; a PE is removed
@@ -381,27 +321,22 @@ pub struct Emulation {
 }
 
 impl Emulation {
-    /// Builds a driver with the default configuration (modeled timing,
-    /// measured overhead, scaled-measured costs).
-    pub fn new(platform: impl Into<Arc<PlatformConfig>>) -> Result<Self, EmuError> {
-        Self::with_config(platform, EmulationConfig::default())
-    }
-
-    /// Builds a driver with an explicit configuration, spawning its
-    /// resource pool. The platform is `Arc`-shared: pass an existing
-    /// `Arc<PlatformConfig>` to avoid a deep clone.
-    pub fn with_config(
-        platform: impl Into<Arc<PlatformConfig>>,
-        config: EmulationConfig,
-    ) -> Result<Self, EmuError> {
-        let platform = platform.into();
-        platform.validate().map_err(EmuError::Config)?;
-        let cost = config.cost.resolve();
-        let pool = ResourcePool::spawn(&platform, &cost, config.timing)?;
-        if let Some(sink) = &config.trace {
-            pool.attach_trace(sink);
-        }
-        Ok(Emulation { platform, config, pool, wedged: RefCell::new(HashSet::new()) })
+    /// Builds a driver able to run `scenario` — and any other scenario
+    /// with the same platform, timing mode, and cost — spawning its
+    /// resource pool.
+    pub fn new(scenario: &CompiledScenario) -> Result<Self, EmuError> {
+        let spec = scenario.spec();
+        let pool = ResourcePool::spawn(&spec.platform, scenario.cost(), spec.timing)?;
+        Ok(Emulation {
+            platform: Arc::clone(&spec.platform),
+            timing: spec.timing,
+            cost: spec.cost.clone(),
+            key: scenario.engine_key,
+            pool,
+            trace: None,
+            metrics: None,
+            wedged: RefCell::new(HashSet::new()),
+        })
     }
 
     /// The platform being emulated.
@@ -417,53 +352,43 @@ impl Emulation {
             Some(sink) => self.pool.attach_trace(sink),
             None => self.pool.detach_trace(),
         }
-        self.config.trace = trace;
-    }
-
-    /// Installs (or, with `None`, removes) a fault-injection spec.
-    /// Subsequent [`Self::run`] calls compile it against the platform
-    /// and honor the resulting plan.
-    pub fn set_faults(&mut self, faults: Option<Arc<FaultSpec>>) {
-        self.config.faults = faults;
+        self.trace = trace;
     }
 
     /// Installs (or, with `None`, removes) a live-metrics registry.
     /// Subsequent [`Self::run`] calls publish into it.
     pub fn set_metrics(&mut self, metrics: Option<MetricsRegistry>) {
-        self.config.metrics = metrics;
+        self.metrics = metrics;
     }
 
-    /// Runs a workload to completion under `scheduler`, returning the
-    /// collected statistics. The persistent resource pool is reused:
-    /// consecutive runs on the same `Emulation` dispatch to the same
-    /// threads.
+    /// Runs a compiled scenario to completion under `scheduler`,
+    /// returning the collected statistics. The persistent resource pool
+    /// is reused: consecutive runs on the same `Emulation` dispatch to
+    /// the same threads. A scenario whose platform, timing, or cost
+    /// differs from the pool's is refused with [`EmuError::Config`].
+    ///
+    /// The precompiled name table and fault plan are reused as is.
+    /// Kernels mutate instance memory, so each run instantiates fresh
+    /// private instances; ids and spec mapping match the scenario's
+    /// shared images by construction, which is what keeps the
+    /// precompiled [`NameTable`](crate::intern::NameTable) valid.
+    /// Compatibility was preflighted at compile time.
     pub fn run(
         &mut self,
         scheduler: &mut dyn Scheduler,
-        workload: &Workload,
-        library: &AppLibrary,
+        scenario: &CompiledScenario,
     ) -> Result<EmulationStats, EmuError> {
-        // Pre-flight: every node of every requested app must have a
-        // compatible PE in this platform, or the emulation would deadlock.
-        preflight_compat(&self.platform, workload, library)?;
-
+        let spec = scenario.spec();
+        if scenario.engine_key != self.key {
+            let why = pool_mismatch(spec, &self.platform, self.timing, &self.cost);
+            return Err(EmuError::Config(format!(
+                "scenario {} cannot run on this engine: {why}",
+                scenario.fingerprint()
+            )));
+        }
         let instances: Vec<Arc<AppInstance>> =
-            workload.instantiate(library)?.into_iter().map(Arc::new).collect();
-
-        let mut interner = Interner::new();
-        let names = NameTable::build(&instances, &self.platform, &mut interner);
-        let plan: Option<FaultPlan> = match &self.config.faults {
-            Some(spec) => Some(spec.compile(&self.platform).map_err(EmuError::Config)?),
-            None => None,
-        };
-
-        let result = self.workload_manager(
-            scheduler,
-            instances,
-            self.pool.handlers(),
-            &names,
-            plan.as_ref(),
-        );
+            spec.workload.instantiate(&spec.library)?.into_iter().map(Arc::new).collect();
+        let result = self.workload_manager(scheduler, instances, scenario);
         if result.is_err() {
             // A failed run can leave tasks in flight; wait them out so
             // every PE is idle again for the next run on this pool —
@@ -473,58 +398,31 @@ impl Emulation {
         result
     }
 
-    /// Runs a precompiled scenario, reusing its name table and fault
-    /// plan instead of rebuilding them. Kernels mutate instance memory,
-    /// so the threaded engine instantiates fresh private instances per
-    /// run; ids and spec mapping match the scenario's shared images by
-    /// construction, which is what keeps the precompiled [`NameTable`]
-    /// valid. Compatibility was preflighted at compile time.
-    pub fn run_compiled(
-        &mut self,
-        scheduler: &mut dyn Scheduler,
-        scenario: &CompiledScenario,
-    ) -> Result<EmulationStats, EmuError> {
-        let spec = scenario.spec();
-        let instances: Vec<Arc<AppInstance>> =
-            spec.workload.instantiate(&spec.library)?.into_iter().map(Arc::new).collect();
-        let result = self.workload_manager(
-            scheduler,
-            instances,
-            self.pool.handlers(),
-            scenario.names(),
-            scenario.plan(),
-        );
-        if result.is_err() {
-            self.pool.drain_except(&self.wedged.borrow());
-        }
-        result
-    }
-
     /// The workload-manager loop (runs on the calling thread — the
-    /// emulation's "overlay processor"). `names` and `plan` are
-    /// scenario-scoped precomputations: [`Self::run`] builds them per
-    /// call, [`Self::run_compiled`] hands in the shared ones.
+    /// emulation's "overlay processor").
     fn workload_manager(
         &self,
         scheduler: &mut dyn Scheduler,
         instances: Vec<Arc<AppInstance>>,
-        handlers: &[Arc<ResourceHandler>],
-        names: &NameTable,
-        plan: Option<&FaultPlan>,
+        scenario: &CompiledScenario,
     ) -> Result<EmulationStats, EmuError> {
-        let timing = self.config.timing;
+        let handlers = self.pool.handlers();
+        let names = scenario.names();
+        let plan = scenario.plan();
+        let overhead = scenario.spec().overhead;
+        let timing = self.timing;
         let overlay_speed = self.platform.overlay.speed;
 
         let mut tracker = InstanceTracker::new(&instances, names);
         let kept_instances = instances.clone();
-        let metrics = match &self.config.metrics {
+        let metrics = match &self.metrics {
             Some(registry) => ExecMetrics::attach(registry, &self.platform, &kept_instances),
             None => ExecMetrics::disabled(),
         };
         let mut arrivals: VecDeque<Arc<AppInstance>> = instances.into();
         let mut ready = ReadyList::new();
         ready.set_metrics(metrics.clone());
-        let mut slots = PeSlots::new(handlers.len(), self.config.reservation_depth);
+        let mut slots = PeSlots::new(handlers.len(), scenario.spec().reservation_depth);
         slots.set_metrics(metrics.clone());
         // ready_at of dispatched tasks, consumed when the completion is
         // recorded.
@@ -550,7 +448,7 @@ impl Emulation {
         let mut vclock = SimTime::ZERO;
 
         let mut sink = CompletionSink::new();
-        let tracer = match &self.config.trace {
+        let tracer = match &self.trace {
             Some(trace_sink) => {
                 register_trace_meta(trace_sink, &self.platform, scheduler.name(), &kept_instances);
                 ExecTracer::attach(trace_sink, "workload-manager")
@@ -664,6 +562,16 @@ impl Emulation {
                     stale.insert(pe);
                     self.wedged.borrow_mut().insert(pe);
                 }
+            }
+            // In modeled time, completions are processed only once every
+            // in-flight task has reported. A short task started mid-pass
+            // (a reservation-queue start, or a dispatch before a fixed
+            // overhead charge moved the clock past its finish) would
+            // otherwise land in this pass or a later one depending on
+            // host thread timing, and the schedule would depend on it.
+            if timing == TimingMode::Modeled && pending.len() < slots.busy_count() {
+                std::thread::yield_now();
+                continue;
             }
             let monitor_raw = t_mon.elapsed();
 
@@ -799,7 +707,7 @@ impl Emulation {
             // covers the work done around task completions and arrivals,
             // not the spin-wait between them.)
             if progress {
-                let (m, u) = match self.config.overhead {
+                let (m, u) = match overhead {
                     OverheadMode::Measured => {
                         let k = 1.0 / overlay_speed;
                         let mu = sampler_mu.sample(monitor_raw + update_raw, quiet)
@@ -887,7 +795,7 @@ impl Emulation {
                 }
 
                 // Charge the policy's own cost before dispatching.
-                let s_charge = match self.config.overhead {
+                let s_charge = match overhead {
                     OverheadMode::Measured => {
                         mul_duration(sampler_s.sample(schedule_raw, quiet), 1.0 / overlay_speed)
                     }
@@ -978,7 +886,7 @@ impl Emulation {
                 for (handler, assignment) in to_dispatch {
                     handler.dispatch(assignment);
                 }
-                let d_charge = match self.config.overhead {
+                let d_charge = match overhead {
                     OverheadMode::Measured => {
                         mul_duration(sampler_d.sample(dispatch_raw, quiet), 1.0 / overlay_speed)
                     }

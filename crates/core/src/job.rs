@@ -43,8 +43,8 @@ use dssoc_platform::pe::{PeDescriptor, PeKind, PlatformConfig};
 use dssoc_platform::presets::{odroid_xu3, zcu102};
 use dssoc_trace::TraceSink;
 
-use crate::des::{DesConfig, DesSimulator};
-use crate::engine::{EmuError, Emulation, EmulationConfig, OverheadMode, TimingMode};
+use crate::des::DesSimulator;
+use crate::engine::{EmuError, Emulation, OverheadMode, TimingMode};
 use crate::exec::preflight_compat;
 use crate::fault::{FaultPlan, FaultSpec};
 use crate::intern::{Interner, NameTable};
@@ -65,9 +65,8 @@ pub type CostGrid = Vec<Vec<Vec<Option<(Duration, EstimateSlot)>>>>;
 /// How task durations are derived — the *describable* counterpart of
 /// [`CostModel`].
 ///
-/// Both engine configs used to hold a bare `Arc<dyn CostModel>`, which
-/// made them impossible to `Debug` and their runs impossible to
-/// fingerprint. The two models every harness actually uses are data
+/// A bare `Arc<dyn CostModel>` can be neither `Debug`-printed nor
+/// fingerprinted. The two models every harness actually uses are data
 /// ([`ScaledMeasuredCost`] wraps a [`CostTable`] of estimates;
 /// [`CostTable`] *is* its entries), so the spec stores that data and
 /// resolves it to a model on demand. [`CostSpec::Model`] remains as the
@@ -118,7 +117,7 @@ impl CostSpec {
         matches!(self, CostSpec::Table(_))
     }
 
-    fn hash_into(&self, h: u64) -> u64 {
+    pub(crate) fn hash_into(&self, h: u64) -> u64 {
         match self {
             CostSpec::ScaledMeasured(t) => hash_cost_table(mix(h, 1), t),
             CostSpec::Table(t) => hash_cost_table(mix(h, 2), t),
@@ -454,40 +453,53 @@ impl ScenarioSpec {
         };
         Fingerprint(h)
     }
+}
 
-    /// The sub-fingerprint of everything engine *construction* depends
-    /// on (platform, timing, overhead, cost, reservation depth — not
-    /// the workload or scheduler). [`JobRunner`] keys its warm engine
-    /// pools on this, so scenarios differing only in workload or policy
-    /// share one resource pool.
-    fn engine_key(&self) -> u64 {
-        let mut h = 0x0e9c_55b7_21d3_a400u64;
-        h = hash_platform(h, &self.platform);
-        h = mix(h, matches!(self.timing, TimingMode::Modeled) as u64);
-        h = match self.overhead {
-            OverheadMode::Measured => mix(h, 1),
-            OverheadMode::Fixed(d) => mix_dur(mix(h, 2), d),
-            OverheadMode::None => mix(h, 3),
-        };
-        h = self.cost.hash_into(h);
-        mix(h, self.reservation_depth as u64)
+/// The key of everything a threaded engine's resource pool is spawned
+/// from: platform, timing mode, and cost. [`JobRunner`] keys its warm
+/// [`Emulation`]s on it, so scenarios differing only in workload,
+/// scheduler, overhead, reservation depth, or faults share one pool;
+/// [`Emulation::run`] refuses a scenario whose key differs from its
+/// pool's.
+pub(crate) fn pool_key(platform: &PlatformConfig, timing: TimingMode, cost: &CostSpec) -> u64 {
+    let h = hash_platform(0x0e9c_55b7_21d3_a400, platform);
+    cost.hash_into(mix(h, matches!(timing, TimingMode::Modeled) as u64))
+}
+
+/// Names the first pool ingredient (platform, timing, cost) on which
+/// `spec` differs from a pool spawned from `platform`/`timing`/`cost` —
+/// the one-line reason behind a [`pool_key`] mismatch.
+pub(crate) fn pool_mismatch(
+    spec: &ScenarioSpec,
+    platform: &PlatformConfig,
+    timing: TimingMode,
+    cost: &CostSpec,
+) -> String {
+    if hash_platform(0, &spec.platform) != hash_platform(0, platform) {
+        format!("platform '{}' differs from the pool's '{}'", spec.platform.name, platform.name)
+    } else if spec.timing != timing {
+        format!("timing {:?} differs from the pool's {timing:?}", spec.timing)
+    } else {
+        format!("cost {:?} differs from the pool's {cost:?}", spec.cost)
     }
 }
 
 /// Builder for [`ScenarioSpec`] — the one place platform presets and
-/// scheduler names are resolved and validated.
-#[derive(Default)]
+/// scheduler names are resolved and validated. A partially filled
+/// builder also serves as the base every cell of a
+/// [`SweepRunner`](crate::sweep::SweepRunner) inherits its knobs from.
+#[derive(Default, Clone)]
 pub struct ScenarioBuilder {
     library: Option<Arc<AppLibrary>>,
     platform: Option<Arc<PlatformConfig>>,
     platform_name: Option<String>,
     scheduler: Option<String>,
     workload: Option<Arc<Workload>>,
-    timing: Option<TimingMode>,
-    overhead: Option<OverheadMode>,
-    cost: Option<CostSpec>,
-    reservation_depth: usize,
-    faults: Option<Arc<FaultSpec>>,
+    pub(crate) timing: Option<TimingMode>,
+    pub(crate) overhead: Option<OverheadMode>,
+    pub(crate) cost: Option<CostSpec>,
+    pub(crate) reservation_depth: usize,
+    pub(crate) faults: Option<Arc<FaultSpec>>,
 }
 
 impl ScenarioBuilder {
@@ -595,11 +607,7 @@ impl ScenarioBuilder {
 /// per-platform estimate, then a speed-scaled default — the same
 /// priority the estimate book uses. Deterministic because the cost
 /// model is always queried with a zero measured time.
-pub(crate) fn dispatch_duration(
-    cost: &dyn CostModel,
-    node: &NodeSpec,
-    pe: &PeDescriptor,
-) -> Duration {
+fn dispatch_duration(cost: &dyn CostModel, node: &NodeSpec, pe: &PeDescriptor) -> Duration {
     let platform = node.platform(&pe.platform_key).expect("compat checked");
     if let Some(d) = cost.task_duration(&platform.runfunc, pe, Duration::ZERO) {
         return d;
@@ -697,6 +705,7 @@ impl std::str::FromStr for Engine {
 pub struct CompiledScenario {
     pub(crate) spec: ScenarioSpec,
     pub(crate) fingerprint: Fingerprint,
+    /// [`pool_key`] of the spec: which threaded resource pool can run it.
     pub(crate) engine_key: u64,
     /// The resolved cost model (shared with the engines).
     pub(crate) cost: Arc<dyn CostModel>,
@@ -770,7 +779,7 @@ impl CompiledScenario {
         };
         let soa = Arc::new(ScenarioSoa::build(&instances, &names, &grid, spec.platform.pes.len()));
         let fingerprint = spec.fingerprint();
-        let engine_key = spec.engine_key();
+        let engine_key = pool_key(&spec.platform, spec.timing, &spec.cost);
         Ok(Arc::new(CompiledScenario {
             spec,
             fingerprint,
@@ -1001,19 +1010,20 @@ pub struct JobResult {
 /// engine, reusing warm engine instances and consulting a bounded
 /// [`ResultCache`].
 ///
-/// Engines are keyed by what their construction actually depends on
-/// (platform + timing + overhead + cost + reservation depth), so
-/// scenarios differing only in workload, scheduler, or faults share one
-/// resource pool — the compiled fault plan travels with the scenario,
-/// not the engine.
+/// Threaded engines are keyed by what their resource pool is spawned
+/// from (platform + timing + cost), so scenarios differing only in
+/// workload, scheduler, overhead, reservation depth, or faults share
+/// one pool — everything else travels with the scenario, not the
+/// engine. One warm [`DesSimulator`] serves every DES scenario: it holds
+/// nothing scenario-specific.
 pub struct JobRunner {
     pub(crate) emus: HashMap<u64, Emulation>,
-    pub(crate) sims: HashMap<u64, DesSimulator>,
+    pub(crate) sim: Option<DesSimulator>,
     cache: ResultCache,
     /// Persistent trace sink applied to every run (disables caching
     /// while set). Per-run tracing goes through [`Self::run_traced`].
     trace: Option<TraceSink>,
-    metrics: Option<MetricsRegistry>,
+    pub(crate) metrics: Option<MetricsRegistry>,
     /// Cooperative-cancel flag forwarded to DES engines on every run.
     /// Cheap to install/remove per job: a setter on the warm simulator,
     /// never an engine rebuild.
@@ -1035,7 +1045,7 @@ impl JobRunner {
     pub fn with_cache(cache: ResultCache) -> Self {
         JobRunner {
             emus: HashMap::new(),
-            sims: HashMap::new(),
+            sim: None,
             cache,
             trace: None,
             metrics: None,
@@ -1060,7 +1070,7 @@ impl JobRunner {
     pub fn set_metrics(&mut self, metrics: Option<MetricsRegistry>) {
         self.metrics = metrics;
         self.emus.clear();
-        self.sims.clear();
+        self.sim = None;
     }
 
     /// Installs (or removes) a persistent trace sink recording *every*
@@ -1069,7 +1079,7 @@ impl JobRunner {
     pub fn set_trace(&mut self, trace: Option<TraceSink>) {
         self.trace = trace;
         self.emus.clear();
-        self.sims.clear();
+        self.sim = None;
     }
 
     /// Installs (or removes) a cooperative-cancel flag. Forwarded to
@@ -1096,7 +1106,7 @@ impl JobRunner {
     /// `(threaded, DES)` warm-engine counts — observability for tests
     /// and pool-reuse assertions.
     pub fn warm_engines(&self) -> (usize, usize) {
-        (self.emus.len(), self.sims.len())
+        (self.emus.len(), usize::from(self.sim.is_some()))
     }
 
     /// Compiles `spec` and runs it on `engine` with its named library
@@ -1171,7 +1181,7 @@ impl JobRunner {
                 if let Some(sink) = &trace {
                     emu.set_trace(Some(sink.clone()));
                 }
-                let result = emu.run_compiled(scheduler, scenario);
+                let result = emu.run(scheduler, scenario);
                 if trace.is_some() {
                     emu.set_trace(base_trace);
                 }
@@ -1179,12 +1189,18 @@ impl JobRunner {
             }
             Engine::Des => {
                 let cancel = self.cancel.clone();
-                let sim = self.simulator_for(scenario)?;
+                let metrics = &self.metrics;
+                let sim = self.sim.get_or_insert_with(|| {
+                    let mut sim = DesSimulator::new();
+                    sim.set_trace(base_trace.clone());
+                    sim.set_metrics(metrics.clone());
+                    sim
+                });
                 if let Some(sink) = &trace {
                     sim.set_trace(Some(sink.clone()));
                 }
                 sim.set_cancel(cancel);
-                let result = sim.run_compiled(scheduler, scenario);
+                let result = sim.run(scheduler, scenario);
                 sim.set_cancel(None);
                 if trace.is_some() {
                     sim.set_trace(base_trace);
@@ -1198,38 +1214,10 @@ impl JobRunner {
         match self.emus.entry(sc.engine_key) {
             std::collections::hash_map::Entry::Occupied(e) => Ok(e.into_mut()),
             std::collections::hash_map::Entry::Vacant(e) => {
-                let spec = &sc.spec;
-                let config = EmulationConfig {
-                    timing: spec.timing,
-                    overhead: spec.overhead,
-                    cost: spec.cost.clone(),
-                    reservation_depth: spec.reservation_depth,
-                    trace: self.trace.clone(),
-                    // The compiled plan travels with the scenario.
-                    faults: None,
-                    metrics: self.metrics.clone(),
-                };
-                Ok(e.insert(Emulation::with_config(Arc::clone(&spec.platform), config)?))
-            }
-        }
-    }
-
-    fn simulator_for(&mut self, sc: &CompiledScenario) -> Result<&mut DesSimulator, EmuError> {
-        match self.sims.entry(sc.engine_key) {
-            std::collections::hash_map::Entry::Occupied(e) => Ok(e.into_mut()),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let spec = &sc.spec;
-                let config = DesConfig {
-                    cost: spec.cost.clone(),
-                    overhead_per_invocation: match spec.overhead {
-                        OverheadMode::Fixed(d) => d,
-                        OverheadMode::Measured | OverheadMode::None => Duration::ZERO,
-                    },
-                    trace: self.trace.clone(),
-                    faults: None,
-                    metrics: self.metrics.clone(),
-                };
-                Ok(e.insert(DesSimulator::new(Arc::clone(&spec.platform), config)?))
+                let mut emu = Emulation::new(sc)?;
+                emu.set_trace(self.trace.clone());
+                emu.set_metrics(self.metrics.clone());
+                Ok(e.insert(emu))
             }
         }
     }

@@ -55,9 +55,15 @@
 //! // 3. Generate a validation-mode workload and emulate it on a
 //! //    hypothetical 2-core + 1-FFT ZCU102 configuration.
 //! let workload = WorkloadSpec::validation([("hello", 3usize)]).generate(&library).unwrap();
-//! let mut emulation = Emulation::new(zcu102(2, 1)).unwrap();
-//! let stats = emulation.run(&mut FrfsScheduler::new(), &workload, &library).unwrap();
-//! assert_eq!(stats.completed_apps(), 3);
+//! let spec = ScenarioSpec::builder()
+//!     .library(library)
+//!     .platform(zcu102(2, 1))
+//!     .scheduler("frfs")
+//!     .workload(workload)
+//!     .build()
+//!     .unwrap();
+//! let result = JobRunner::new().run_spec(spec, Engine::Threaded).unwrap();
+//! assert_eq!(result.stats.completed_apps(), 3);
 //! ```
 
 pub mod arena;
@@ -81,8 +87,8 @@ pub mod time;
 pub use calq::{CalendarQueue, Timed};
 pub use soa::{ScenarioSoa, INCOMPATIBLE};
 
-pub use des::{DesConfig, DesSimulator};
-pub use engine::{EmuError, Emulation, EmulationConfig, OverheadMode, TimingMode};
+pub use des::DesSimulator;
+pub use engine::{EmuError, Emulation, OverheadMode, TimingMode};
 pub use exec::{
     pe_mask_bit, register_trace_meta, CompletionSink, ExecTracer, InstanceTracker, PeSlots,
     ReadyList,
@@ -108,24 +114,22 @@ pub use stats::{
     StatsPercentiles, TaskRecord,
 };
 pub use sweep::{
-    default_workers, CellResult, DesSweepRunner, ProgressWatcher, SweepCell, SweepProgress,
-    SweepProgressSnapshot, SweepRunner,
+    default_workers, CellResult, ProgressWatcher, SweepCell, SweepProgress, SweepProgressSnapshot,
+    SweepRunner,
 };
 pub use task::{ReadyTask, Task};
 pub use time::SimTime;
 
 /// The most commonly used items, re-exported for `use dssoc_core::prelude::*`.
 pub mod prelude {
-    pub use crate::des::{DesConfig, DesSimulator};
-    pub use crate::engine::{EmuError, Emulation, EmulationConfig, OverheadMode, TimingMode};
+    pub use crate::des::DesSimulator;
+    pub use crate::engine::{EmuError, Emulation, OverheadMode, TimingMode};
     pub use crate::fault::{FaultSpec, RetryPolicy};
     pub use crate::job::{
         CompiledScenario, CostSpec, Engine, JobResult, JobRunner, ResultCache, ScenarioSpec,
     };
     pub use crate::sched::{EftScheduler, FrfsScheduler, MetScheduler, RandomScheduler, Scheduler};
     pub use crate::stats::EmulationStats;
-    pub use crate::sweep::{
-        default_workers, CellResult, DesSweepRunner, SweepCell, SweepProgress, SweepRunner,
-    };
+    pub use crate::sweep::{default_workers, CellResult, SweepCell, SweepProgress, SweepRunner};
     pub use crate::time::SimTime;
 }

@@ -6,21 +6,20 @@
 //! shape — Fig. 9 sweeps platform configurations, Fig. 10 sweeps
 //! schedulers × injection rates, Fig. 11 sweeps big.LITTLE mixes — and
 //! each used to hand-roll the same harness loop. [`SweepRunner`] owns
-//! that loop once. Cells are lowered to [`ScenarioSpec`]s and executed
-//! through a [`JobRunner`]: each distinct scenario fingerprint is
-//! compiled exactly once (name tables, cost grids, fault plans), warm
-//! engines are shared per engine fingerprint so consecutive cells reuse
-//! the persistent PE resource pool instead of respawning threads, and
-//! deterministic repeats replay from the runner's [`ResultCache`].
+//! that loop once, on either [`Engine`]: the threaded emulator, or the
+//! discrete-event baseline — the design-space-exploration
+//! configuration, where grids get large and per-cell cost is pure
+//! compute. Cells are lowered to [`ScenarioSpec`]s and executed through
+//! a [`JobRunner`]: each distinct scenario fingerprint is compiled
+//! exactly once (name tables, cost grids, fault plans), warm engines
+//! are shared so consecutive cells reuse the persistent PE resource
+//! pool instead of respawning threads, and deterministic repeats replay
+//! from the runner's [`ResultCache`].
 //!
-//! [`DesSweepRunner`] is the same grid API over the discrete-event
-//! baseline — the design-space-exploration configuration, where grids
-//! get large and per-cell cost is pure compute.
-//!
-//! Both runners offer [`SweepRunner::run_batch_parallel`]: the grid is
-//! distributed over a small pool of worker threads. Scenarios are
-//! compiled once on the calling thread and shared by `Arc` — workers
-//! share one [`CompiledScenario`] per distinct fingerprint and one
+//! [`SweepRunner::run_batch_parallel`] distributes the grid over a
+//! small pool of worker threads. Scenarios are compiled once on the
+//! calling thread and shared by `Arc` — workers share one
+//! [`CompiledScenario`] per distinct fingerprint and one
 //! [`ResultCache`], but own their warm engine pools. Cells are
 //! independent (each run starts from fresh instances), so results are
 //! identical to the sequential [`SweepRunner::run_batch`] whenever the
@@ -35,13 +34,17 @@ use std::time::{Duration, Instant};
 
 use dssoc_appmodel::app::AppLibrary;
 use dssoc_appmodel::workload::Workload;
+use dssoc_metrics::MetricsRegistry;
+use dssoc_platform::cost::CostTable;
 use dssoc_platform::pe::PlatformConfig;
 use dssoc_trace::TraceSink;
 
-use crate::des::DesConfig;
-use crate::engine::{EmuError, EmulationConfig, OverheadMode, TimingMode};
+use crate::engine::{EmuError, OverheadMode, TimingMode};
 use crate::fault::FaultSpec;
-use crate::job::{CompiledScenario, Engine, Fingerprint, JobRunner, ResultCache, ScenarioSpec};
+use crate::job::{
+    CompiledScenario, CostSpec, Engine, Fingerprint, JobRunner, ResultCache, ScenarioBuilder,
+    ScenarioSpec,
+};
 use crate::sched::{by_name, Scheduler};
 use crate::stats::EmulationStats;
 
@@ -299,9 +302,9 @@ fn scheduler_factory<'c>(
     Ok(move || first.take().unwrap_or_else(|| by_name(scheduler).expect("resolved above")))
 }
 
-/// Work-stealing fan-out shared by both runners: `workers` threads pull
-/// cells off a shared index, each running them through its own
-/// `make_worker()` closure (one warm engine pool per worker). Results
+/// Work-stealing fan-out: `workers` threads pull cells off a shared
+/// index, each running them through its own `make_worker()` closure
+/// (one warm engine pool per worker). Results
 /// come back ordered by cell index; on error the batch stops early and
 /// the error of the lowest-indexed failing cell is returned — the same
 /// cell a sequential run would have failed on first.
@@ -393,9 +396,9 @@ fn scenario_for(
     Ok(scenario)
 }
 
-/// The per-cell iteration loop shared by both runners: warm-up runs are
-/// discarded, the final measured iteration records into `traced` if the
-/// cell is the designated trace target, and every run goes through the
+/// The per-cell iteration loop: warm-up runs are discarded, the final
+/// measured iteration records into `traced` if the cell is the
+/// designated trace target, and every run goes through the
 /// [`JobRunner`] (so deterministic repeats replay from its cache).
 fn run_cell_on(
     jobs: &mut JobRunner,
@@ -431,21 +434,77 @@ fn run_cell_on(
     })
 }
 
-/// Runs sweep cells through the scenario/job layer.
+/// Lowers a sweep cell to a scenario spec: the cell's platform,
+/// scheduler, workload, and faults over the runner's `base` knobs, with
+/// the per-engine defaults filled in for every knob `base` leaves unset.
 ///
-/// Each cell is lowered to a [`ScenarioSpec`] (the runner's engine
-/// configuration plus the cell's platform/scheduler/workload/faults)
-/// and compiled at most once per distinct fingerprint. The embedded
-/// [`JobRunner`] keeps one warm [`Emulation`] per engine fingerprint —
-/// cells on the same platform/config, and repeated iterations within a
-/// cell, share its resource-manager threads — and replays deterministic
-/// repeats from its [`ResultCache`].
+/// | knob | [`Engine::Threaded`] | [`Engine::Des`] |
+/// |---|---|---|
+/// | timing | `base`, else Modeled | always Modeled |
+/// | overhead | `base`, else Measured | `base`'s nonzero `Fixed`, else None |
+/// | cost | `base`, else scaled-measured | `base`, else an empty cost table |
+/// | reservation depth | `base` (default 0) | always 0 |
+///
+/// The DES never reads timing or reservation depth and charges only a
+/// fixed overhead, so pinning those keeps equal DES runs on equal
+/// fingerprints. Cell-level faults take precedence over `base`'s.
+fn lower_cell(
+    engine: Engine,
+    library: &Arc<AppLibrary>,
+    base: &ScenarioBuilder,
+    cell: &SweepCell,
+) -> ScenarioSpec {
+    let (timing, overhead, cost, reservation_depth) = match engine {
+        Engine::Threaded => (
+            base.timing.unwrap_or(TimingMode::Modeled),
+            base.overhead.unwrap_or(OverheadMode::Measured),
+            base.cost.clone().unwrap_or_default(),
+            base.reservation_depth,
+        ),
+        Engine::Des => (
+            TimingMode::Modeled,
+            match base.overhead {
+                Some(OverheadMode::Fixed(d)) if !d.is_zero() => OverheadMode::Fixed(d),
+                _ => OverheadMode::None,
+            },
+            base.cost.clone().unwrap_or_else(|| CostSpec::table(CostTable::new())),
+            0,
+        ),
+    };
+    ScenarioSpec {
+        library: Arc::clone(library),
+        platform: Arc::clone(&cell.platform),
+        scheduler: cell.scheduler.clone(),
+        workload: Arc::clone(&cell.workload),
+        timing,
+        overhead,
+        cost,
+        reservation_depth,
+        faults: cell.faults.clone().or_else(|| base.faults.clone()),
+    }
+}
+
+/// Runs sweep cells through the scenario/job layer on one [`Engine`].
+///
+/// Each cell is lowered to a [`ScenarioSpec`] (see [`Self::with_base`]
+/// for the knobs every cell inherits) and compiled at most once per
+/// distinct fingerprint. The embedded [`JobRunner`] keeps the warm
+/// engines — one threaded [`Emulation`] per resource-pool shape, so
+/// cells on the same platform and repeated iterations within a cell
+/// share its resource-manager threads; one [`DesSimulator`] whose
+/// scratch arena and estimate book every DES cell reuses — and replays
+/// deterministic repeats (every DES cell) from its [`ResultCache`].
+///
+/// [`Emulation`]: crate::engine::Emulation
+/// [`DesSimulator`]: crate::des::DesSimulator
 pub struct SweepRunner<'a> {
     library: &'a AppLibrary,
     /// Arc'd view of the library, shared into every [`ScenarioSpec`]
     /// instead of deep-cloning app models per cell.
     apps: Arc<AppLibrary>,
-    config: EmulationConfig,
+    engine: Engine,
+    /// The knobs every cell inherits (see [`lower_cell`]).
+    base: ScenarioBuilder,
     /// Job front door: warm engines plus the shared result cache.
     pub(crate) jobs: JobRunner,
     scenarios: HashMap<(Fingerprint, bool), Arc<CompiledScenario>>,
@@ -456,24 +515,22 @@ pub struct SweepRunner<'a> {
 }
 
 impl<'a> SweepRunner<'a> {
-    /// A runner with the default engine configuration.
-    pub fn new(library: &'a AppLibrary) -> Self {
-        Self::with_config(library, EmulationConfig::default())
+    /// A runner on `engine` with that engine's default knobs.
+    pub fn new(library: &'a AppLibrary, engine: Engine) -> Self {
+        Self::with_base(library, engine, ScenarioBuilder::default())
     }
 
-    /// A runner with an explicit engine configuration, applied to every
-    /// cell.
-    pub fn with_config(library: &'a AppLibrary, config: EmulationConfig) -> Self {
-        let mut jobs = JobRunner::new();
-        jobs.set_metrics(config.metrics.clone());
-        // A config-level sink records every run (and disables caching);
-        // `trace_cell` stays the precise per-cell path.
-        jobs.set_trace(config.trace.clone());
+    /// A runner on `engine` whose cells inherit `base`'s timing,
+    /// overhead, cost, reservation depth, and faults (unset knobs take
+    /// the engine defaults; `base`'s library, platform, scheduler, and
+    /// workload are ignored — each cell supplies its own).
+    pub fn with_base(library: &'a AppLibrary, engine: Engine, base: ScenarioBuilder) -> Self {
         SweepRunner {
             library,
             apps: Arc::new(library.clone()),
-            config,
-            jobs,
+            engine,
+            base,
+            jobs: JobRunner::new(),
             scenarios: HashMap::new(),
             trace: None,
             progress: None,
@@ -497,6 +554,12 @@ impl<'a> SweepRunner<'a> {
         self.jobs.set_cache(cache);
     }
 
+    /// Installs (or removes) a live-metrics registry every run
+    /// publishes into.
+    pub fn set_metrics(&mut self, metrics: Option<MetricsRegistry>) {
+        self.jobs.set_metrics(metrics);
+    }
+
     /// Installs a shared [`SweepProgress`] handle: subsequent batch
     /// calls report per-cell starts/finishes into it. Clone the handle
     /// first to watch it (e.g. [`SweepProgress::watch_stderr`]).
@@ -518,21 +581,14 @@ impl<'a> SweepRunner<'a> {
         self.trace = Some((label.into(), sink));
     }
 
-    /// Lowers a cell to a scenario spec under this runner's engine
-    /// configuration. Cell-level faults take precedence over a
-    /// config-level spec.
-    fn cell_spec(&self, cell: &SweepCell) -> ScenarioSpec {
-        ScenarioSpec {
-            library: Arc::clone(&self.apps),
-            platform: Arc::clone(&cell.platform),
-            scheduler: cell.scheduler.clone(),
-            workload: Arc::clone(&cell.workload),
-            timing: self.config.timing,
-            overhead: self.config.overhead,
-            cost: self.config.cost.clone(),
-            reservation_depth: self.config.reservation_depth,
-            faults: cell.faults.clone().or_else(|| self.config.faults.clone()),
-        }
+    /// The compiled scenario for `cell`, memoized by fingerprint.
+    fn compiled(
+        &mut self,
+        cell: &SweepCell,
+        custom: bool,
+    ) -> Result<Arc<CompiledScenario>, EmuError> {
+        let spec = lower_cell(self.engine, &self.apps, &self.base, cell);
+        scenario_for(&mut self.scenarios, spec, custom)
     }
 
     /// Runs one cell with its named library scheduler (a fresh policy
@@ -560,11 +616,10 @@ impl<'a> SweepRunner<'a> {
         custom: bool,
         make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
     ) -> Result<CellResult, EmuError> {
-        let spec = self.cell_spec(cell);
-        let scenario = scenario_for(&mut self.scenarios, spec, custom)?;
+        let scenario = self.compiled(cell, custom)?;
         let traced =
             self.trace.as_ref().filter(|(label, _)| *label == cell.label).map(|(_, s)| s.clone());
-        run_cell_on(&mut self.jobs, Engine::Threaded, cell, &scenario, traced, make_scheduler)
+        run_cell_on(&mut self.jobs, self.engine, cell, &scenario, traced, make_scheduler)
     }
 
     /// Runs every cell of a grid in order, stopping at the first error.
@@ -590,9 +645,10 @@ impl<'a> SweepRunner<'a> {
     ///
     /// Every distinct scenario is compiled once on the calling thread;
     /// workers share the compiled artifacts and this runner's
-    /// [`ResultCache`] by `Arc`, but own their warm engine pools (never
-    /// contended across workers). With one worker — or a single cell —
-    /// this is exactly [`Self::run_batch`] on `self`, reusing its
+    /// [`ResultCache`] by `Arc` — deterministic duplicate cells across
+    /// workers collapse into cache hits — but own their warm engines
+    /// (never contended across workers). With one worker — or a single
+    /// cell — this is exactly [`Self::run_batch`] on `self`, reusing its
     /// engines.
     pub fn run_batch_parallel(
         &mut self,
@@ -603,226 +659,23 @@ impl<'a> SweepRunner<'a> {
         if workers <= 1 {
             return self.run_batch(cells);
         }
-        let mut compiled = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let spec = self.cell_spec(cell);
-            compiled.push(scenario_for(&mut self.scenarios, spec, false)?);
-        }
+        let compiled =
+            cells.iter().map(|cell| self.compiled(cell, false)).collect::<Result<Vec<_>, _>>()?;
         let compiled = &compiled;
+        let engine = self.engine;
         let trace = &self.trace;
         let cache = self.jobs.cache().clone();
-        let metrics = self.config.metrics.clone();
-        let persistent = self.config.trace.clone();
+        let metrics = &self.jobs.metrics;
         run_cells_parallel(cells, workers, self.progress.as_ref(), || {
             let mut jobs = JobRunner::with_cache(cache.clone());
             jobs.set_metrics(metrics.clone());
-            jobs.set_trace(persistent.clone());
             move |i: usize, cell: &SweepCell| {
                 let traced = trace
                     .as_ref()
                     .filter(|(label, _)| *label == cell.label)
                     .map(|(_, s)| s.clone());
                 let mut factory = scheduler_factory(&cell.scheduler)?;
-                run_cell_on(&mut jobs, Engine::Threaded, cell, &compiled[i], traced, &mut factory)
-            }
-        })
-    }
-}
-
-/// The [`SweepRunner`] equivalent over the discrete-event baseline:
-/// same grid, same cell semantics, but cells run on the event-driven
-/// simulator — no threads, no kernel execution, durations from the
-/// configured cost model. Cells lower to [`ScenarioSpec`]s exactly like
-/// the threaded runner (DES runs are always `Modeled` timing), share
-/// compiled scenarios per fingerprint, and — since DES runs are always
-/// deterministic — repeated cells replay from the [`ResultCache`].
-///
-/// The embedded [`JobRunner`] keeps one warm [`DesSimulator`] per
-/// engine-config shape, and the simulator owns all per-run scratch:
-/// the calendar-queue event core, ready rings, SoA completion columns,
-/// per-PE cost slots, and the slot-assigned estimate book (values-only
-/// reset when the scenario fingerprint repeats). Cell iterations and
-/// same-shape cells therefore pay compile/setup once and run
-/// allocation-light thereafter; in [`Self::run_batch_parallel`] that
-/// warm state is per worker, never shared or contended.
-pub struct DesSweepRunner<'a> {
-    library: &'a AppLibrary,
-    /// Arc'd view of the library, shared into every [`ScenarioSpec`].
-    apps: Arc<AppLibrary>,
-    config: DesConfig,
-    /// Job front door: warm simulators plus the shared result cache.
-    pub(crate) jobs: JobRunner,
-    scenarios: HashMap<(Fingerprint, bool), Arc<CompiledScenario>>,
-    /// `(cell label, sink)` of the one designated trace target, if any.
-    trace: Option<(String, TraceSink)>,
-    /// Live batch progress, shared with whoever installed it.
-    progress: Option<SweepProgress>,
-}
-
-impl<'a> DesSweepRunner<'a> {
-    /// A runner with the default (empty cost table) DES configuration.
-    pub fn new(library: &'a AppLibrary) -> Self {
-        Self::with_config(library, DesConfig::default())
-    }
-
-    /// A runner with an explicit DES configuration, applied to every
-    /// cell.
-    pub fn with_config(library: &'a AppLibrary, config: DesConfig) -> Self {
-        let mut jobs = JobRunner::new();
-        jobs.set_metrics(config.metrics.clone());
-        jobs.set_trace(config.trace.clone());
-        DesSweepRunner {
-            library,
-            apps: Arc::new(library.clone()),
-            config,
-            jobs,
-            scenarios: HashMap::new(),
-            trace: None,
-            progress: None,
-        }
-    }
-
-    /// The application library the runner draws specs from.
-    pub fn library(&self) -> &'a AppLibrary {
-        self.library
-    }
-
-    /// The result cache shared by this runner's jobs.
-    pub fn cache(&self) -> &ResultCache {
-        self.jobs.cache()
-    }
-
-    /// Replaces the result cache.
-    pub fn set_cache(&mut self, cache: ResultCache) {
-        self.jobs.set_cache(cache);
-    }
-
-    /// Installs a shared [`SweepProgress`] handle (see
-    /// [`SweepRunner::set_progress`]).
-    pub fn set_progress(&mut self, progress: SweepProgress) {
-        self.progress = Some(progress);
-    }
-
-    /// The current batch progress, if a handle is installed.
-    pub fn progress(&self) -> Option<SweepProgressSnapshot> {
-        self.progress.as_ref().map(|p| p.snapshot())
-    }
-
-    /// Designates the cell labeled `label` for event tracing (see
-    /// [`SweepRunner::trace_cell`] — same one-cell, final-iteration
-    /// semantics).
-    pub fn trace_cell(&mut self, label: impl Into<String>, sink: TraceSink) {
-        self.trace = Some((label.into(), sink));
-    }
-
-    /// Lowers a cell to a scenario spec under this runner's DES
-    /// configuration: always `Modeled` timing, the fixed per-invocation
-    /// scheduling overhead, no reservation.
-    fn cell_spec(&self, cell: &SweepCell) -> ScenarioSpec {
-        let overhead = if self.config.overhead_per_invocation.is_zero() {
-            OverheadMode::None
-        } else {
-            OverheadMode::Fixed(self.config.overhead_per_invocation)
-        };
-        ScenarioSpec {
-            library: Arc::clone(&self.apps),
-            platform: Arc::clone(&cell.platform),
-            scheduler: cell.scheduler.clone(),
-            workload: Arc::clone(&cell.workload),
-            timing: TimingMode::Modeled,
-            overhead,
-            cost: self.config.cost.clone(),
-            reservation_depth: 0,
-            faults: cell.faults.clone().or_else(|| self.config.faults.clone()),
-        }
-    }
-
-    /// Runs one cell with its named library scheduler (a fresh policy
-    /// instance per iteration; the name is resolved once).
-    pub fn run_cell(&mut self, cell: &SweepCell) -> Result<CellResult, EmuError> {
-        let mut factory = scheduler_factory(&cell.scheduler)?;
-        self.run_cell_inner(cell, false, &mut factory)
-    }
-
-    /// Runs one cell with a custom scheduler factory (see
-    /// [`SweepRunner::run_cell_with`]).
-    pub fn run_cell_with(
-        &mut self,
-        cell: &SweepCell,
-        make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
-    ) -> Result<CellResult, EmuError> {
-        self.run_cell_inner(cell, true, make_scheduler)
-    }
-
-    fn run_cell_inner(
-        &mut self,
-        cell: &SweepCell,
-        custom: bool,
-        make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
-    ) -> Result<CellResult, EmuError> {
-        let spec = self.cell_spec(cell);
-        let scenario = scenario_for(&mut self.scenarios, spec, custom)?;
-        let traced =
-            self.trace.as_ref().filter(|(label, _)| *label == cell.label).map(|(_, s)| s.clone());
-        run_cell_on(&mut self.jobs, Engine::Des, cell, &scenario, traced, make_scheduler)
-    }
-
-    /// Runs every cell of a grid in order, stopping at the first error.
-    pub fn run_batch(&mut self, cells: &[SweepCell]) -> Result<Vec<CellResult>, EmuError> {
-        if let Some(p) = self.progress.clone() {
-            p.begin_batch(cells.len(), 1);
-            return cells
-                .iter()
-                .map(|c| {
-                    let start = Instant::now();
-                    p.cell_started();
-                    let result = self.run_cell(c);
-                    p.cell_finished(start.elapsed(), result.is_ok());
-                    result
-                })
-                .collect();
-        }
-        cells.iter().map(|c| self.run_cell(c)).collect()
-    }
-
-    /// Runs a grid across `workers` threads, returning results in cell
-    /// order (see [`SweepRunner::run_batch_parallel`]; the DES is pure
-    /// single-threaded compute per cell, so grids scale with cores).
-    /// DES runs are deterministic, so duplicate cells across workers
-    /// collapse into shared [`ResultCache`] hits. Each worker owns its
-    /// own [`JobRunner`] and thus its own warm simulators — the arena
-    /// scratch and estimate books described on [`DesSweepRunner`] are
-    /// reused across that worker's cells without cross-thread sharing.
-    pub fn run_batch_parallel(
-        &mut self,
-        cells: &[SweepCell],
-        workers: usize,
-    ) -> Result<Vec<CellResult>, EmuError> {
-        let workers = workers.clamp(1, cells.len().max(1));
-        if workers <= 1 {
-            return self.run_batch(cells);
-        }
-        let mut compiled = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let spec = self.cell_spec(cell);
-            compiled.push(scenario_for(&mut self.scenarios, spec, false)?);
-        }
-        let compiled = &compiled;
-        let trace = &self.trace;
-        let cache = self.jobs.cache().clone();
-        let metrics = self.config.metrics.clone();
-        let persistent = self.config.trace.clone();
-        run_cells_parallel(cells, workers, self.progress.as_ref(), || {
-            let mut jobs = JobRunner::with_cache(cache.clone());
-            jobs.set_metrics(metrics.clone());
-            jobs.set_trace(persistent.clone());
-            move |i: usize, cell: &SweepCell| {
-                let traced = trace
-                    .as_ref()
-                    .filter(|(label, _)| *label == cell.label)
-                    .map(|(_, s)| s.clone());
-                let mut factory = scheduler_factory(&cell.scheduler)?;
-                run_cell_on(&mut jobs, Engine::Des, cell, &compiled[i], traced, &mut factory)
+                run_cell_on(&mut jobs, engine, cell, &compiled[i], traced, &mut factory)
             }
         })
     }
@@ -831,7 +684,6 @@ impl<'a> DesSweepRunner<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::CostSpec;
     use crate::sched::FrfsScheduler;
     use dssoc_platform::presets::zcu102;
 
@@ -861,22 +713,21 @@ mod tests {
         (library, workload)
     }
 
-    fn quiet_config() -> EmulationConfig {
-        EmulationConfig {
-            timing: TimingMode::Modeled,
-            overhead: OverheadMode::None,
-            cost: CostSpec::default(),
-            reservation_depth: 0,
-            trace: None,
-            faults: None,
-            metrics: None,
-        }
+    /// Held by every test here that spawns resource-manager threads:
+    /// `threads_spawned_total` is process-wide, so a concurrently
+    /// running test's pool would otherwise count against the batch
+    /// under test.
+    static POOL_SPAWNS: Mutex<()> = Mutex::new(());
+
+    fn quiet() -> ScenarioBuilder {
+        ScenarioSpec::builder().overhead(OverheadMode::None)
     }
 
     #[test]
     fn batch_reuses_pools_across_cells() {
+        let _spawns = POOL_SPAWNS.lock().unwrap_or_else(|e| e.into_inner());
         let (library, workload) = tiny_setup();
-        let mut runner = SweepRunner::with_config(&library, quiet_config());
+        let mut runner = SweepRunner::with_base(&library, Engine::Threaded, quiet());
         let cells = vec![
             SweepCell::new(zcu102(2, 0), "frfs", Arc::clone(&workload)).iterations(2),
             SweepCell::new(zcu102(2, 0), "met", Arc::clone(&workload)),
@@ -899,7 +750,7 @@ mod tests {
     #[test]
     fn unknown_scheduler_is_a_config_error() {
         let (library, workload) = tiny_setup();
-        let mut runner = SweepRunner::with_config(&library, quiet_config());
+        let mut runner = SweepRunner::with_base(&library, Engine::Threaded, quiet());
         let cell = SweepCell::new(zcu102(1, 0), "heft", workload);
         let err = runner.run_cell(&cell).unwrap_err();
         assert!(err.to_string().contains("heft"), "{err}");
@@ -907,8 +758,9 @@ mod tests {
 
     #[test]
     fn custom_scheduler_factory() {
+        let _spawns = POOL_SPAWNS.lock().unwrap_or_else(|e| e.into_inner());
         let (library, workload) = tiny_setup();
-        let mut runner = SweepRunner::with_config(&library, quiet_config());
+        let mut runner = SweepRunner::with_base(&library, Engine::Threaded, quiet());
         let cell = SweepCell::new(zcu102(1, 0), "custom", workload).label("mine").iterations(2);
         let result = runner.run_cell_with(&cell, &mut || Box::new(FrfsScheduler::new())).unwrap();
         assert_eq!(result.label, "mine");
@@ -918,14 +770,14 @@ mod tests {
     #[test]
     fn des_runner_reuses_simulators() {
         let (library, workload) = tiny_setup();
-        let mut runner = DesSweepRunner::new(&library);
+        let mut runner = SweepRunner::new(&library, Engine::Des);
         let cells = vec![
             SweepCell::new(zcu102(2, 0), "frfs", Arc::clone(&workload)).iterations(2),
             SweepCell::new(zcu102(2, 0), "met", Arc::clone(&workload)),
             SweepCell::new(zcu102(1, 0), "frfs", workload).warmup(true),
         ];
         let results = runner.run_batch(&cells).unwrap();
-        assert_eq!(runner.jobs.warm_engines(), (0, 2), "one simulator per platform shape");
+        assert_eq!(runner.jobs.warm_engines(), (0, 1), "one simulator serves every platform");
         assert_eq!(results.len(), 3);
         assert_eq!(results[0].makespans_ms.len(), 2);
         assert_eq!(results[2].makespans_ms.len(), 1, "warm-up run discarded");
@@ -937,7 +789,7 @@ mod tests {
     #[test]
     fn duplicate_des_cells_replay_from_result_cache() {
         let (library, workload) = tiny_setup();
-        let mut runner = DesSweepRunner::new(&library);
+        let mut runner = SweepRunner::new(&library, Engine::Des);
         // Same scenario content under two labels: one live run, one
         // cache replay with byte-identical makespans.
         let cells = vec![
@@ -953,8 +805,9 @@ mod tests {
 
     #[test]
     fn parallel_single_worker_uses_own_pools() {
+        let _spawns = POOL_SPAWNS.lock().unwrap_or_else(|e| e.into_inner());
         let (library, workload) = tiny_setup();
-        let mut runner = SweepRunner::with_config(&library, quiet_config());
+        let mut runner = SweepRunner::with_base(&library, Engine::Threaded, quiet());
         let cells = vec![SweepCell::new(zcu102(1, 0), "frfs", workload)];
         let results = runner.run_batch_parallel(&cells, 4).unwrap();
         assert_eq!(results.len(), 1, "single cell degrades to sequential");

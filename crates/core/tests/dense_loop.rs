@@ -151,31 +151,33 @@ fn dense_loop_matches_general_loop() {
         .expect("workload");
 
     for overhead in [Duration::ZERO, Duration::from_nanos(700)] {
-        let config = |metrics: Option<MetricsRegistry>| DesConfig {
-            cost: CostSpec::table(table.clone()),
-            overhead_per_invocation: overhead,
-            trace: None,
-            faults: None,
-            metrics,
-        };
+        let spec = ScenarioSpec::builder()
+            .library(library.clone())
+            .platform(platform.clone())
+            .workload(workload.clone())
+            .overhead(OverheadMode::Fixed(overhead))
+            .cost(CostSpec::table(table.clone()))
+            .build()
+            .expect("spec");
+        let scenario = CompiledScenario::compile(spec).expect("scenario");
 
         // (a) Dense fast loop, cold then warm (scratch reuse).
-        let mut des = DesSimulator::new(platform.clone(), config(None)).expect("platform");
+        let mut des = DesSimulator::new();
         let mut frfs = FrfsScheduler::new();
-        let dense_cold = des.run(&mut frfs, &workload, &library).expect("dense cold");
-        let dense_warm = des.run(&mut frfs, &workload, &library).expect("dense warm");
+        let dense_cold = des.run(&mut frfs, &scenario).expect("dense cold");
+        let dense_warm = des.run(&mut frfs, &scenario).expect("dense warm");
 
         // (b) General loop: identical policy, shortcut hidden.
-        let mut des = DesSimulator::new(platform.clone(), config(None)).expect("platform");
+        let mut des = DesSimulator::new();
         let mut wrapped = GeneralFrfs(FrfsScheduler::new());
-        let general = des.run(&mut wrapped, &workload, &library).expect("general");
+        let general = des.run(&mut wrapped, &scenario).expect("general");
 
         // (c) General loop with eager records: a metrics observer takes
         // FRFS off the fast path but keeps its dense mid-loop branch.
-        let mut des = DesSimulator::new(platform.clone(), config(Some(MetricsRegistry::new())))
-            .expect("platform");
+        let mut des = DesSimulator::new();
+        des.set_metrics(Some(MetricsRegistry::new()));
         let mut frfs = FrfsScheduler::new();
-        let observed = des.run(&mut frfs, &workload, &library).expect("observed");
+        let observed = des.run(&mut frfs, &scenario).expect("observed");
 
         assert!(!general.tasks.is_empty(), "workload produced no tasks");
         let want = fingerprint(&general);

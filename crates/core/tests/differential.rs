@@ -45,40 +45,44 @@ fn full_cost_table(library: &AppLibrary, platform: &PlatformConfig) -> CostTable
     table
 }
 
+/// The reference workload on `platform` in the differential
+/// configuration: modeled timing, no overhead charge, the full cost
+/// table, and optional faults.
+fn differential_scenario(
+    library: &AppLibrary,
+    platform: &PlatformConfig,
+    scheduler: &str,
+    faults: Option<Arc<FaultSpec>>,
+) -> Arc<CompiledScenario> {
+    let workload =
+        WorkloadSpec::validation(APPS.map(|a| (a, 1usize))).generate(library).expect("workload");
+    let mut builder = ScenarioSpec::builder()
+        .library(library.clone())
+        .platform(platform.clone())
+        .scheduler(scheduler)
+        .workload(workload)
+        .timing(TimingMode::Modeled)
+        .overhead(OverheadMode::None)
+        .cost(CostSpec::table(full_cost_table(library, platform)));
+    if let Some(faults) = faults {
+        builder = builder.faults(faults);
+    }
+    CompiledScenario::compile(builder.build().expect("spec")).expect("compile")
+}
+
 /// Runs one (platform, scheduler) cell on both engines and returns the
 /// two makespans.
 fn makespans(platform: &PlatformConfig, scheduler: &str) -> (Duration, Duration) {
     let (library, _registry) = standard_library();
-    let workload =
-        WorkloadSpec::validation(APPS.map(|a| (a, 1usize))).generate(&library).expect("workload");
-    let table = full_cost_table(&library, platform);
+    let scenario = differential_scenario(&library, platform, scheduler, None);
 
-    let cfg = EmulationConfig {
-        timing: TimingMode::Modeled,
-        overhead: OverheadMode::None,
-        cost: CostSpec::table(table.clone()),
-        reservation_depth: 0,
-        trace: None,
-        faults: None,
-        metrics: None,
-    };
-    let mut emu = Emulation::with_config(platform.clone(), cfg).expect("platform");
+    let mut emu = Emulation::new(&scenario).expect("platform");
     let mut sched = by_name(scheduler).expect("library policy");
-    let emu_stats = emu.run(sched.as_mut(), &workload, &library).expect("emulation");
+    let emu_stats = emu.run(sched.as_mut(), &scenario).expect("emulation");
 
-    let mut des = DesSimulator::new(
-        platform.clone(),
-        DesConfig {
-            cost: CostSpec::table(table),
-            overhead_per_invocation: Duration::ZERO,
-            trace: None,
-            faults: None,
-            metrics: None,
-        },
-    )
-    .expect("platform");
+    let mut des = DesSimulator::new();
     let mut sched = by_name(scheduler).expect("library policy");
-    let des_stats = des.run(sched.as_mut(), &workload, &library).expect("simulation");
+    let des_stats = des.run(sched.as_mut(), &scenario).expect("simulation");
 
     assert_eq!(emu_stats.completed_apps(), APPS.len());
     assert_eq!(des_stats.completed_apps(), APPS.len());
@@ -103,7 +107,7 @@ fn engines_agree_on_cpu_only_configs() {
 
 /// The differential invariant must survive the job layer: one shared
 /// [`CompiledScenario`] run through a single [`JobRunner`] on both
-/// engines yields the same makespan the raw-config runs produce — and
+/// engines yields the same makespan directly driven engines produce — and
 /// on the second pass both answers replay from the result cache
 /// without drifting.
 #[test]
@@ -134,7 +138,7 @@ fn engines_agree_through_job_runner() {
                 threaded.stats.makespan, des.stats.makespan,
                 "JobRunner engines diverged: {scheduler} on {cores}C+{ffts}F"
             );
-            // And both must match the raw-config baseline.
+            // And both must match directly driven engines.
             let (emu_mk, des_mk) = makespans(&platform, scheduler);
             assert_eq!(threaded.stats.makespan, emu_mk);
             assert_eq!(des.stats.makespan, des_mk);
@@ -170,40 +174,20 @@ fn slice_tuples(events: &[dssoc_trace::TraceEvent]) -> Vec<(u64, u32, u32, u64, 
 /// is therefore a cross-engine diffing artifact, not just a view.
 #[test]
 fn engines_emit_identical_trace_slices() {
-    let platform = zcu102(2, 0);
     let (library, _registry) = standard_library();
-    let workload =
-        WorkloadSpec::validation(APPS.map(|a| (a, 1usize))).generate(&library).expect("workload");
-    let table = full_cost_table(&library, &platform);
+    let scenario = differential_scenario(&library, &zcu102(2, 0), "frfs", None);
 
     let emu_session = dssoc_trace::TraceSession::new();
-    let cfg = EmulationConfig {
-        timing: TimingMode::Modeled,
-        overhead: OverheadMode::None,
-        cost: CostSpec::table(table.clone()),
-        reservation_depth: 0,
-        trace: Some(emu_session.sink()),
-        faults: None,
-        metrics: None,
-    };
-    let mut emu = Emulation::with_config(platform.clone(), cfg).expect("platform");
+    let mut emu = Emulation::new(&scenario).expect("platform");
+    emu.set_trace(Some(emu_session.sink()));
     let mut sched = by_name("frfs").expect("library policy");
-    emu.run(sched.as_mut(), &workload, &library).expect("emulation");
+    emu.run(sched.as_mut(), &scenario).expect("emulation");
 
     let des_session = dssoc_trace::TraceSession::new();
-    let mut des = DesSimulator::new(
-        platform,
-        DesConfig {
-            cost: CostSpec::table(table),
-            overhead_per_invocation: Duration::ZERO,
-            trace: Some(des_session.sink()),
-            faults: None,
-            metrics: None,
-        },
-    )
-    .expect("platform");
+    let mut des = DesSimulator::new();
+    des.set_trace(Some(des_session.sink()));
     let mut sched = by_name("frfs").expect("library policy");
-    des.run(sched.as_mut(), &workload, &library).expect("simulation");
+    des.run(sched.as_mut(), &scenario).expect("simulation");
 
     assert_eq!(emu_session.dropped(), 0, "emu trace overflowed its ring");
     assert_eq!(des_session.dropped(), 0, "des trace overflowed its ring");
@@ -255,36 +239,17 @@ fn faulty_run(
     des: bool,
 ) -> (Duration, dssoc_core::ReliabilityCounters, Vec<FaultTuple>) {
     let (library, _registry) = standard_library();
-    let workload =
-        WorkloadSpec::validation(APPS.map(|a| (a, 1usize))).generate(&library).expect("workload");
-    let table = full_cost_table(&library, platform);
+    let scenario = differential_scenario(&library, platform, scheduler, Some(Arc::clone(spec)));
     let session = dssoc_trace::TraceSession::new();
     let mut sched = by_name(scheduler).expect("library policy");
     let stats = if des {
-        let mut sim = DesSimulator::new(
-            platform.clone(),
-            DesConfig {
-                cost: CostSpec::table(table),
-                overhead_per_invocation: Duration::ZERO,
-                trace: Some(session.sink()),
-                faults: Some(Arc::clone(spec)),
-                metrics: None,
-            },
-        )
-        .expect("platform");
-        sim.run(sched.as_mut(), &workload, &library).expect("simulation")
+        let mut sim = DesSimulator::new();
+        sim.set_trace(Some(session.sink()));
+        sim.run(sched.as_mut(), &scenario).expect("simulation")
     } else {
-        let cfg = EmulationConfig {
-            timing: TimingMode::Modeled,
-            overhead: OverheadMode::None,
-            cost: CostSpec::table(table),
-            reservation_depth: 0,
-            trace: Some(session.sink()),
-            faults: Some(Arc::clone(spec)),
-            metrics: None,
-        };
-        let mut emu = Emulation::with_config(platform.clone(), cfg).expect("platform");
-        emu.run(sched.as_mut(), &workload, &library).expect("emulation")
+        let mut emu = Emulation::new(&scenario).expect("platform");
+        emu.set_trace(Some(session.sink()));
+        emu.run(sched.as_mut(), &scenario).expect("emulation")
     };
     assert_eq!(session.dropped(), 0, "trace ring overflowed");
     (stats.makespan, stats.reliability, fault_tuples(&session.drain()))

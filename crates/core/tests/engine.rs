@@ -6,14 +6,18 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use dssoc_appmodel::json::{AppJson, NodeJson, PlatformJson, VariableJson};
-use dssoc_appmodel::{AppLibrary, InjectionParams, KernelRegistry, ModelError, WorkloadSpec};
-use dssoc_core::des::{DesConfig, DesSimulator};
-use dssoc_core::engine::{EmuError, Emulation, EmulationConfig, OverheadMode, TimingMode};
-use dssoc_core::job::CostSpec;
+use dssoc_appmodel::{
+    AppLibrary, InjectionParams, KernelRegistry, ModelError, Workload, WorkloadSpec,
+};
+use dssoc_core::des::DesSimulator;
+use dssoc_core::engine::{EmuError, Emulation, OverheadMode, TimingMode};
+use dssoc_core::job::{CompiledScenario, CostSpec, ScenarioBuilder, ScenarioSpec};
 use dssoc_core::sched::{Assignment, PeView, SchedContext, Scheduler};
+use dssoc_core::stats::EmulationStats;
 use dssoc_core::task::ReadyTask;
 use dssoc_core::{EftScheduler, FrfsScheduler, MetScheduler, RandomScheduler};
 use dssoc_platform::cost::CostTable;
+use dssoc_platform::pe::PlatformConfig;
 use dssoc_platform::presets::{odroid_xu3, zcu102};
 
 fn cpu_platform(name: &str, runfunc: &str) -> PlatformJson {
@@ -90,25 +94,46 @@ fn diamond_cost_table() -> CostTable {
     t
 }
 
-fn modeled_config(table: CostTable) -> EmulationConfig {
-    EmulationConfig {
-        timing: TimingMode::Modeled,
-        overhead: OverheadMode::None,
-        cost: CostSpec::table(table),
-        reservation_depth: 0,
-        trace: None,
-        faults: None,
-        metrics: None,
-    }
+/// A scenario of `wl` on `platform` with the default knobs (modeled
+/// timing, measured overhead, scaled-measured costs).
+fn spec(lib: &AppLibrary, wl: &Workload, platform: PlatformConfig) -> ScenarioBuilder {
+    ScenarioSpec::builder().library(lib.clone()).workload(wl.clone()).platform(platform)
+}
+
+/// The deterministic knobs: modeled timing, no overhead, costs from
+/// `table`.
+fn modeled(
+    lib: &AppLibrary,
+    wl: &Workload,
+    platform: PlatformConfig,
+    table: CostTable,
+) -> ScenarioBuilder {
+    spec(lib, wl, platform)
+        .timing(TimingMode::Modeled)
+        .overhead(OverheadMode::None)
+        .cost(CostSpec::table(table))
+}
+
+/// Compiles `spec` and runs it once under `sched` on a fresh threaded
+/// engine.
+fn emulate(spec: ScenarioBuilder, sched: &mut dyn Scheduler) -> Result<EmulationStats, EmuError> {
+    let scenario = CompiledScenario::compile_custom(spec.build()?)?;
+    Emulation::new(&scenario)?.run(sched, &scenario)
+}
+
+/// Compiles `spec` and runs it once under `sched` on a fresh DES.
+fn simulate(spec: ScenarioBuilder, sched: &mut dyn Scheduler) -> Result<EmulationStats, EmuError> {
+    let scenario = CompiledScenario::compile_custom(spec.build()?)?;
+    DesSimulator::new().run(sched, &scenario)
 }
 
 #[test]
 fn validation_workload_completes_and_respects_dependencies() {
     let (lib, _reg) = diamond_library();
     let wl = WorkloadSpec::validation([("diamond", 3usize)]).generate(&lib).unwrap();
-    let mut emu =
-        Emulation::with_config(zcu102(3, 0), modeled_config(diamond_cost_table())).unwrap();
-    let stats = emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let stats =
+        emulate(modeled(&lib, &wl, zcu102(3, 0), diamond_cost_table()), &mut FrfsScheduler::new())
+            .unwrap();
 
     assert_eq!(stats.completed_apps(), 3);
     assert_eq!(stats.tasks.len(), 12);
@@ -141,9 +166,9 @@ fn kernels_really_execute() {
     let instances = wl.instantiate(&lib).unwrap();
     // Run through the engine with a fresh workload (instances above are a
     // parallel universe — we verify via task records instead).
-    let mut emu =
-        Emulation::with_config(zcu102(2, 0), modeled_config(diamond_cost_table())).unwrap();
-    let stats = emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let stats =
+        emulate(modeled(&lib, &wl, zcu102(2, 0), diamond_cost_table()), &mut FrfsScheduler::new())
+            .unwrap();
     // Each kernel increments the counter; measured > 0 proves execution.
     assert_eq!(stats.tasks.len(), 4);
     drop(instances);
@@ -157,9 +182,11 @@ fn more_cores_reduce_makespan_with_table_costs() {
     let wl = WorkloadSpec::validation([("diamond", 6usize)]).generate(&lib).unwrap();
     let mut makespans = Vec::new();
     for cores in [1usize, 2, 3] {
-        let mut emu =
-            Emulation::with_config(zcu102(cores, 0), modeled_config(diamond_cost_table())).unwrap();
-        let stats = emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+        let stats = emulate(
+            modeled(&lib, &wl, zcu102(cores, 0), diamond_cost_table()),
+            &mut FrfsScheduler::new(),
+        )
+        .unwrap();
         makespans.push(stats.makespan);
     }
     assert!(makespans[0] > makespans[1], "2 cores should beat 1: {makespans:?}");
@@ -174,21 +201,12 @@ fn modeled_engine_and_des_agree_deterministically() {
     let wl = WorkloadSpec::validation([("diamond", 4usize)]).generate(&lib).unwrap();
     let table = diamond_cost_table();
 
-    let mut emu = Emulation::with_config(zcu102(2, 0), modeled_config(table.clone())).unwrap();
-    let threaded = emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let threaded =
+        emulate(modeled(&lib, &wl, zcu102(2, 0), table.clone()), &mut FrfsScheduler::new())
+            .unwrap();
 
-    let mut des = DesSimulator::new(
-        zcu102(2, 0),
-        DesConfig {
-            cost: CostSpec::table(table),
-            overhead_per_invocation: Duration::ZERO,
-            trace: None,
-            faults: None,
-            metrics: None,
-        },
-    )
-    .unwrap();
-    let simulated = des.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let simulated =
+        simulate(modeled(&lib, &wl, zcu102(2, 0), table), &mut FrfsScheduler::new()).unwrap();
 
     assert_eq!(threaded.makespan, simulated.makespan, "engines disagree on makespan");
     assert_eq!(threaded.tasks.len(), simulated.tasks.len());
@@ -207,9 +225,11 @@ fn modeled_runs_are_reproducible() {
     let (lib, _reg) = diamond_library();
     let wl = WorkloadSpec::validation([("diamond", 5usize)]).generate(&lib).unwrap();
     let run = || {
-        let mut emu =
-            Emulation::with_config(zcu102(2, 0), modeled_config(diamond_cost_table())).unwrap();
-        let stats = emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+        let stats = emulate(
+            modeled(&lib, &wl, zcu102(2, 0), diamond_cost_table()),
+            &mut FrfsScheduler::new(),
+        )
+        .unwrap();
         (stats.makespan, stats.tasks.len())
     };
     assert_eq!(run(), run());
@@ -219,17 +239,12 @@ fn modeled_runs_are_reproducible() {
 fn wall_clock_mode_completes() {
     let (lib, _reg) = diamond_library();
     let wl = WorkloadSpec::validation([("diamond", 2usize)]).generate(&lib).unwrap();
-    let cfg = EmulationConfig {
-        timing: TimingMode::WallClock,
-        overhead: OverheadMode::Measured,
-        cost: CostSpec::table(diamond_cost_table()),
-        reservation_depth: 0,
-        trace: None,
-        faults: None,
-        metrics: None,
-    };
-    let mut emu = Emulation::with_config(zcu102(2, 0), cfg).unwrap();
-    let stats = emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let cfg = spec(&lib, &wl, zcu102(2, 0))
+        .timing(TimingMode::WallClock)
+        .overhead(OverheadMode::Measured)
+        .cost(CostSpec::table(diamond_cost_table()))
+        .reservation_depth(0);
+    let stats = emulate(cfg, &mut FrfsScheduler::new()).unwrap();
     assert_eq!(stats.completed_apps(), 2);
     // 8 tasks of 200us on 2 cores: at least ~800us of wall time.
     assert!(stats.makespan >= Duration::from_micros(700), "makespan {:?}", stats.makespan);
@@ -250,9 +265,9 @@ fn performance_mode_arrivals_are_respected() {
     .generate(&lib)
     .unwrap();
     assert_eq!(wl.len(), 10);
-    let mut emu =
-        Emulation::with_config(zcu102(3, 0), modeled_config(diamond_cost_table())).unwrap();
-    let stats = emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let stats =
+        emulate(modeled(&lib, &wl, zcu102(3, 0), diamond_cost_table()), &mut FrfsScheduler::new())
+            .unwrap();
     assert_eq!(stats.completed_apps(), 10);
     for app in &stats.apps {
         assert!(app.finish >= app.arrival);
@@ -275,9 +290,8 @@ fn all_library_schedulers_complete_the_workload() {
         Box::new(RandomScheduler::seeded(11)),
     ];
     for s in schedulers.iter_mut() {
-        let mut emu =
-            Emulation::with_config(zcu102(2, 0), modeled_config(diamond_cost_table())).unwrap();
-        let stats = emu.run(s.as_mut(), &wl, &lib).unwrap();
+        let stats =
+            emulate(modeled(&lib, &wl, zcu102(2, 0), diamond_cost_table()), s.as_mut()).unwrap();
         assert_eq!(stats.completed_apps(), 4, "{} failed to finish", s.name());
         assert_eq!(stats.tasks.len(), 16);
     }
@@ -308,8 +322,7 @@ fn failing_kernel_surfaces_as_task_failed() {
     let mut lib = AppLibrary::new();
     lib.register_json(&json, &reg).unwrap();
     let wl = WorkloadSpec::validation([("faulty", 1usize)]).generate(&lib).unwrap();
-    let mut emu = Emulation::new(zcu102(1, 0)).unwrap();
-    match emu.run(&mut FrfsScheduler::new(), &wl, &lib) {
+    match emulate(spec(&lib, &wl, zcu102(1, 0)), &mut FrfsScheduler::new()) {
         Err(EmuError::TaskFailed { app, node, reason }) => {
             assert_eq!(app, "faulty");
             assert_eq!(node, "bad");
@@ -348,8 +361,7 @@ fn incompatible_workload_rejected_up_front() {
     let mut lib = AppLibrary::new();
     lib.register_json(&json, &reg).unwrap();
     let wl = WorkloadSpec::validation([("fftonly", 1usize)]).generate(&lib).unwrap();
-    let mut emu = Emulation::new(zcu102(2, 0)).unwrap();
-    match emu.run(&mut FrfsScheduler::new(), &wl, &lib) {
+    match emulate(spec(&lib, &wl, zcu102(2, 0)), &mut FrfsScheduler::new()) {
         Err(EmuError::Config(msg)) => assert!(msg.contains("fftonly")),
         other => panic!("expected Config error, got {other:?}"),
     }
@@ -376,9 +388,7 @@ impl Scheduler for LazyScheduler {
 fn refusing_scheduler_detected_as_deadlock() {
     let (lib, _reg) = diamond_library();
     let wl = WorkloadSpec::validation([("diamond", 1usize)]).generate(&lib).unwrap();
-    let mut emu =
-        Emulation::with_config(zcu102(1, 0), modeled_config(diamond_cost_table())).unwrap();
-    match emu.run(&mut LazyScheduler, &wl, &lib) {
+    match emulate(modeled(&lib, &wl, zcu102(1, 0), diamond_cost_table()), &mut LazyScheduler) {
         Err(EmuError::Config(msg)) => assert!(msg.contains("deadlock"), "{msg}"),
         other => panic!("expected deadlock Config error, got {other:?}"),
     }
@@ -412,9 +422,7 @@ impl Scheduler for RogueScheduler {
 fn contract_violation_detected() {
     let (lib, _reg) = diamond_library();
     let wl = WorkloadSpec::validation([("diamond", 2usize)]).generate(&lib).unwrap();
-    let mut emu =
-        Emulation::with_config(zcu102(1, 0), modeled_config(diamond_cost_table())).unwrap();
-    match emu.run(&mut RogueScheduler, &wl, &lib) {
+    match emulate(modeled(&lib, &wl, zcu102(1, 0), diamond_cost_table()), &mut RogueScheduler) {
         Err(EmuError::Config(msg)) => assert!(msg.contains("contract"), "{msg}"),
         other => panic!("expected contract violation, got {other:?}"),
     }
@@ -425,17 +433,12 @@ fn fixed_overhead_inflates_makespan_deterministically() {
     let (lib, _reg) = diamond_library();
     let wl = WorkloadSpec::validation([("diamond", 3usize)]).generate(&lib).unwrap();
     let run = |ov: OverheadMode| {
-        let cfg = EmulationConfig {
-            timing: TimingMode::Modeled,
-            overhead: ov,
-            cost: CostSpec::table(diamond_cost_table()),
-            reservation_depth: 0,
-            trace: None,
-            faults: None,
-            metrics: None,
-        };
-        let mut emu = Emulation::with_config(zcu102(1, 0), cfg).unwrap();
-        emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap()
+        let cfg = spec(&lib, &wl, zcu102(1, 0))
+            .timing(TimingMode::Modeled)
+            .overhead(ov)
+            .cost(CostSpec::table(diamond_cost_table()))
+            .reservation_depth(0);
+        emulate(cfg, &mut FrfsScheduler::new()).unwrap()
     };
     let free = run(OverheadMode::None);
     let taxed = run(OverheadMode::Fixed(Duration::from_micros(50)));
@@ -450,9 +453,9 @@ fn fixed_overhead_inflates_makespan_deterministically() {
 fn utilization_is_sane() {
     let (lib, _reg) = diamond_library();
     let wl = WorkloadSpec::validation([("diamond", 8usize)]).generate(&lib).unwrap();
-    let mut emu =
-        Emulation::with_config(zcu102(2, 0), modeled_config(diamond_cost_table())).unwrap();
-    let stats = emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let stats =
+        emulate(modeled(&lib, &wl, zcu102(2, 0), diamond_cost_table()), &mut FrfsScheduler::new())
+            .unwrap();
     for (pe, u) in stats.utilizations() {
         assert!((0.0..=1.0 + 1e-9).contains(&u), "PE {pe} utilization {u}");
     }
@@ -466,9 +469,11 @@ fn utilization_is_sane() {
 fn odroid_platform_runs() {
     let (lib, _reg) = diamond_library();
     let wl = WorkloadSpec::validation([("diamond", 4usize)]).generate(&lib).unwrap();
-    let mut emu =
-        Emulation::with_config(odroid_xu3(2, 2), modeled_config(diamond_cost_table())).unwrap();
-    let stats = emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let stats = emulate(
+        modeled(&lib, &wl, odroid_xu3(2, 2), diamond_cost_table()),
+        &mut FrfsScheduler::new(),
+    )
+    .unwrap();
     assert_eq!(stats.completed_apps(), 4);
     assert!(stats.platform.contains("odroid"));
 }
@@ -477,18 +482,9 @@ fn odroid_platform_runs() {
 fn des_respects_dependencies_too() {
     let (lib, _reg) = diamond_library();
     let wl = WorkloadSpec::validation([("diamond", 3usize)]).generate(&lib).unwrap();
-    let mut des = DesSimulator::new(
-        zcu102(3, 0),
-        DesConfig {
-            cost: CostSpec::table(diamond_cost_table()),
-            overhead_per_invocation: Duration::ZERO,
-            trace: None,
-            faults: None,
-            metrics: None,
-        },
-    )
-    .unwrap();
-    let stats = des.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let stats =
+        simulate(modeled(&lib, &wl, zcu102(3, 0), diamond_cost_table()), &mut FrfsScheduler::new())
+            .unwrap();
     assert_eq!(stats.completed_apps(), 3);
     for inst in 0..3u64 {
         let find = |node: &str| {
@@ -505,18 +501,13 @@ fn des_overhead_knob_inflates_makespan() {
     let (lib, _reg) = diamond_library();
     let wl = WorkloadSpec::validation([("diamond", 4usize)]).generate(&lib).unwrap();
     let run = |ov: Duration| {
-        let mut des = DesSimulator::new(
-            zcu102(1, 0),
-            DesConfig {
-                cost: CostSpec::table(diamond_cost_table()),
-                overhead_per_invocation: ov,
-                trace: None,
-                faults: None,
-                metrics: None,
-            },
+        simulate(
+            modeled(&lib, &wl, zcu102(1, 0), diamond_cost_table())
+                .overhead(OverheadMode::Fixed(ov)),
+            &mut FrfsScheduler::new(),
         )
-        .unwrap();
-        des.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap().makespan
+        .unwrap()
+        .makespan
     };
     assert!(run(Duration::from_micros(100)) > run(Duration::ZERO));
 }
@@ -525,17 +516,12 @@ fn des_overhead_knob_inflates_makespan() {
 fn reservation_queue_preserves_correctness() {
     let (lib, _reg) = diamond_library();
     let wl = WorkloadSpec::validation([("diamond", 6usize)]).generate(&lib).unwrap();
-    let cfg = EmulationConfig {
-        timing: TimingMode::Modeled,
-        overhead: OverheadMode::None,
-        cost: CostSpec::table(diamond_cost_table()),
-        reservation_depth: 2,
-        trace: None,
-        faults: None,
-        metrics: None,
-    };
-    let mut emu = Emulation::with_config(zcu102(2, 0), cfg).unwrap();
-    let stats = emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let cfg = spec(&lib, &wl, zcu102(2, 0))
+        .timing(TimingMode::Modeled)
+        .overhead(OverheadMode::None)
+        .cost(CostSpec::table(diamond_cost_table()))
+        .reservation_depth(2);
+    let stats = emulate(cfg, &mut FrfsScheduler::new()).unwrap();
     assert_eq!(stats.completed_apps(), 6);
     assert_eq!(stats.tasks.len(), 24);
     // Dependencies still respected.
@@ -569,17 +555,12 @@ fn reservation_queue_eliminates_dispatch_overhead() {
     let (lib, _reg) = diamond_library();
     let wl = WorkloadSpec::validation([("diamond", 8usize)]).generate(&lib).unwrap();
     let run = |depth: usize| {
-        let cfg = EmulationConfig {
-            timing: TimingMode::Modeled,
-            overhead: OverheadMode::Fixed(Duration::from_micros(100)),
-            cost: CostSpec::table(diamond_cost_table()),
-            reservation_depth: depth,
-            trace: None,
-            faults: None,
-            metrics: None,
-        };
-        let mut emu = Emulation::with_config(zcu102(1, 0), cfg).unwrap();
-        emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap().makespan
+        let cfg = spec(&lib, &wl, zcu102(1, 0))
+            .timing(TimingMode::Modeled)
+            .overhead(OverheadMode::Fixed(Duration::from_micros(100)))
+            .cost(CostSpec::table(diamond_cost_table()))
+            .reservation_depth(depth);
+        emulate(cfg, &mut FrfsScheduler::new()).unwrap().makespan
     };
     let without = run(0);
     let with = run(3);
@@ -599,17 +580,12 @@ fn reservation_queue_depth_bounds_queueing() {
     // engine enforces the contract.
     let (lib, _reg) = diamond_library();
     let wl = WorkloadSpec::validation([("diamond", 4usize)]).generate(&lib).unwrap();
-    let cfg = EmulationConfig {
-        timing: TimingMode::Modeled,
-        overhead: OverheadMode::None,
-        cost: CostSpec::table(diamond_cost_table()),
-        reservation_depth: 1,
-        trace: None,
-        faults: None,
-        metrics: None,
-    };
-    let mut emu = Emulation::with_config(zcu102(1, 0), cfg).unwrap();
-    let stats = emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let cfg = spec(&lib, &wl, zcu102(1, 0))
+        .timing(TimingMode::Modeled)
+        .overhead(OverheadMode::None)
+        .cost(CostSpec::table(diamond_cost_table()))
+        .reservation_depth(1);
+    let stats = emulate(cfg, &mut FrfsScheduler::new()).unwrap();
     assert_eq!(stats.completed_apps(), 4);
     // With a single core, tasks must still execute strictly serially.
     let mut spans: Vec<_> = stats.tasks.iter().map(|t| (t.start, t.finish)).collect();
@@ -625,17 +601,12 @@ fn wall_clock_with_reservation_and_accelerator() {
     // reservation queues, and an accelerator PE.
     let (lib, _reg) = diamond_library();
     let wl = WorkloadSpec::validation([("diamond", 3usize)]).generate(&lib).unwrap();
-    let cfg = EmulationConfig {
-        timing: TimingMode::WallClock,
-        overhead: OverheadMode::Measured,
-        cost: CostSpec::table(diamond_cost_table()),
-        reservation_depth: 2,
-        trace: None,
-        faults: None,
-        metrics: None,
-    };
-    let mut emu = Emulation::with_config(zcu102(2, 1), cfg).unwrap();
-    let stats = emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let cfg = spec(&lib, &wl, zcu102(2, 1))
+        .timing(TimingMode::WallClock)
+        .overhead(OverheadMode::Measured)
+        .cost(CostSpec::table(diamond_cost_table()))
+        .reservation_depth(2);
+    let stats = emulate(cfg, &mut FrfsScheduler::new()).unwrap();
     assert_eq!(stats.completed_apps(), 3);
     assert_eq!(stats.tasks.len(), 12);
 }
@@ -644,9 +615,9 @@ fn wall_clock_with_reservation_and_accelerator() {
 fn task_records_are_internally_consistent() {
     let (lib, _reg) = diamond_library();
     let wl = WorkloadSpec::validation([("diamond", 5usize)]).generate(&lib).unwrap();
-    let mut emu =
-        Emulation::with_config(zcu102(2, 0), modeled_config(diamond_cost_table())).unwrap();
-    let stats = emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let stats =
+        emulate(modeled(&lib, &wl, zcu102(2, 0), diamond_cost_table()), &mut FrfsScheduler::new())
+            .unwrap();
     for t in &stats.tasks {
         assert!(t.ready_at <= t.start, "{}: ready_at {} > start {}", t.node, t.ready_at, t.start);
         assert!(t.start <= t.finish);
@@ -666,9 +637,9 @@ fn task_records_are_internally_consistent() {
 fn pe_busy_equals_sum_of_modeled_durations() {
     let (lib, _reg) = diamond_library();
     let wl = WorkloadSpec::validation([("diamond", 4usize)]).generate(&lib).unwrap();
-    let mut emu =
-        Emulation::with_config(zcu102(3, 0), modeled_config(diamond_cost_table())).unwrap();
-    let stats = emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let stats =
+        emulate(modeled(&lib, &wl, zcu102(3, 0), diamond_cost_table()), &mut FrfsScheduler::new())
+            .unwrap();
     for (&pe, &busy) in &stats.pe_busy {
         let sum: Duration = stats.tasks.iter().filter(|t| t.pe == pe).map(|t| t.modeled).sum();
         assert_eq!(busy, sum, "busy accounting mismatch on {pe}");
@@ -683,29 +654,15 @@ fn des_and_engine_agree_with_reservation_disabled_only() {
     // legitimately differ from the DES.
     let (lib, _reg) = diamond_library();
     let wl = WorkloadSpec::validation([("diamond", 6usize)]).generate(&lib).unwrap();
-    let cfg = EmulationConfig {
-        timing: TimingMode::Modeled,
-        overhead: OverheadMode::None,
-        cost: CostSpec::table(diamond_cost_table()),
-        reservation_depth: 2,
-        trace: None,
-        faults: None,
-        metrics: None,
-    };
-    let mut emu = Emulation::with_config(zcu102(2, 0), cfg).unwrap();
-    let queued = emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
-    let mut des = DesSimulator::new(
-        zcu102(2, 0),
-        DesConfig {
-            cost: CostSpec::table(diamond_cost_table()),
-            overhead_per_invocation: Duration::ZERO,
-            trace: None,
-            faults: None,
-            metrics: None,
-        },
-    )
-    .unwrap();
-    let baseline = des.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let cfg = spec(&lib, &wl, zcu102(2, 0))
+        .timing(TimingMode::Modeled)
+        .overhead(OverheadMode::None)
+        .cost(CostSpec::table(diamond_cost_table()))
+        .reservation_depth(2);
+    let queued = emulate(cfg, &mut FrfsScheduler::new()).unwrap();
+    let baseline =
+        simulate(modeled(&lib, &wl, zcu102(2, 0), diamond_cost_table()), &mut FrfsScheduler::new())
+            .unwrap();
     // With zero overhead the queued schedule can't be *slower* than the
     // per-completion one on this workload.
     assert!(queued.makespan <= baseline.makespan + Duration::from_micros(1));

@@ -11,12 +11,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dssoc_appmodel::json::{AppJson, NodeJson, PlatformJson, VariableJson};
-use dssoc_appmodel::{AppLibrary, KernelRegistry, ModelError, WorkloadSpec};
+use dssoc_appmodel::{AppLibrary, KernelRegistry, ModelError, Workload, WorkloadSpec};
 use dssoc_apps::standard_library;
-use dssoc_core::des::{DesConfig, DesSimulator};
-use dssoc_core::engine::{EmuError, Emulation, EmulationConfig, OverheadMode, TimingMode};
+use dssoc_core::des::DesSimulator;
+use dssoc_core::engine::{EmuError, Emulation, OverheadMode, TimingMode};
 use dssoc_core::fault::{FaultSpec, PermanentFault, RateFault, RetryPolicy};
-use dssoc_core::job::CostSpec;
+use dssoc_core::job::{CompiledScenario, CostSpec, ScenarioSpec};
 use dssoc_core::sched::by_name;
 use dssoc_core::time::SimTime;
 use dssoc_core::FrfsScheduler;
@@ -48,16 +48,26 @@ fn full_cost_table(library: &AppLibrary, platform: &PlatformConfig) -> CostTable
     table
 }
 
-fn modeled_config(table: CostTable, faults: Option<Arc<FaultSpec>>) -> EmulationConfig {
-    EmulationConfig {
-        timing: TimingMode::Modeled,
-        overhead: OverheadMode::None,
-        cost: CostSpec::table(table),
-        reservation_depth: 0,
-        trace: None,
-        faults,
-        metrics: None,
+/// `wl` on `platform` in the deterministic configuration (modeled
+/// timing, no overhead, costs from `table`), with optional faults.
+fn modeled(
+    lib: &AppLibrary,
+    wl: &Workload,
+    platform: PlatformConfig,
+    table: CostTable,
+    faults: Option<Arc<FaultSpec>>,
+) -> Arc<CompiledScenario> {
+    let mut builder = ScenarioSpec::builder()
+        .library(lib.clone())
+        .workload(wl.clone())
+        .platform(platform)
+        .timing(TimingMode::Modeled)
+        .overhead(OverheadMode::None)
+        .cost(CostSpec::table(table));
+    if let Some(faults) = faults {
+        builder = builder.faults(faults);
     }
+    CompiledScenario::compile(builder.build().unwrap()).unwrap()
 }
 
 /// The fault-family events of a drained trace, as comparable tuples in
@@ -102,10 +112,10 @@ fn permanent_accel_failure_recovers_via_cpu_fallback() {
     for scheduler in ["frfs", "eft"] {
         // Baseline run: find a task mid-flight on the accelerator so the
         // failure instant is guaranteed to kill an in-flight attempt.
-        let mut emu =
-            Emulation::with_config(platform.clone(), modeled_config(table.clone(), None)).unwrap();
+        let scenario = modeled(&library, &workload, platform.clone(), table.clone(), None);
+        let mut emu = Emulation::new(&scenario).unwrap();
         let mut sched = by_name(scheduler).unwrap();
-        let baseline = emu.run(sched.as_mut(), &workload, &library).unwrap();
+        let baseline = emu.run(sched.as_mut(), &scenario).unwrap();
         assert_eq!(baseline.completed_apps(), 4);
         let victim = baseline
             .tasks
@@ -120,11 +130,12 @@ fn permanent_accel_failure_recovers_via_cpu_fallback() {
             ..FaultSpec::default()
         });
         let session = TraceSession::new();
-        let mut cfg = modeled_config(table.clone(), Some(Arc::clone(&spec)));
-        cfg.trace = Some(session.sink());
-        let mut emu = Emulation::with_config(platform.clone(), cfg).unwrap();
+        let scenario =
+            modeled(&library, &workload, platform.clone(), table.clone(), Some(Arc::clone(&spec)));
+        let mut emu = Emulation::new(&scenario).unwrap();
+        emu.set_trace(Some(session.sink()));
         let mut sched = by_name(scheduler).unwrap();
-        let stats = emu.run(sched.as_mut(), &workload, &library).unwrap();
+        let stats = emu.run(sched.as_mut(), &scenario).unwrap();
 
         assert_eq!(stats.completed_apps(), 4, "{scheduler}: all apps must finish via CPU fallback");
         let r = &stats.reliability;
@@ -174,27 +185,19 @@ fn permanent_failure_is_identical_across_engines() {
     });
 
     for scheduler in ["frfs", "met"] {
+        let scenario =
+            modeled(&library, &workload, platform.clone(), table.clone(), Some(Arc::clone(&spec)));
         let emu_session = TraceSession::new();
-        let mut cfg = modeled_config(table.clone(), Some(Arc::clone(&spec)));
-        cfg.trace = Some(emu_session.sink());
-        let mut emu = Emulation::with_config(platform.clone(), cfg).unwrap();
+        let mut emu = Emulation::new(&scenario).unwrap();
+        emu.set_trace(Some(emu_session.sink()));
         let mut sched = by_name(scheduler).unwrap();
-        let emu_stats = emu.run(sched.as_mut(), &workload, &library).unwrap();
+        let emu_stats = emu.run(sched.as_mut(), &scenario).unwrap();
 
         let des_session = TraceSession::new();
-        let mut des = DesSimulator::new(
-            platform.clone(),
-            DesConfig {
-                cost: CostSpec::table(table.clone()),
-                overhead_per_invocation: Duration::ZERO,
-                trace: Some(des_session.sink()),
-                faults: Some(Arc::clone(&spec)),
-                metrics: None,
-            },
-        )
-        .unwrap();
+        let mut des = DesSimulator::new();
+        des.set_trace(Some(des_session.sink()));
         let mut sched = by_name(scheduler).unwrap();
-        let des_stats = des.run(sched.as_mut(), &workload, &library).unwrap();
+        let des_stats = des.run(sched.as_mut(), &scenario).unwrap();
 
         assert_eq!(emu_stats.makespan, des_stats.makespan, "{scheduler}: makespans diverged");
         assert_eq!(emu_stats.reliability, des_stats.reliability, "{scheduler}");
@@ -282,9 +285,9 @@ fn transient_fault_retries_quarantines_and_is_deterministic() {
     // Find which PE runs instance 0's "a" so the fault rule provably
     // fires (the engines are deterministic, so the baseline schedule is
     // the faulty run's schedule up to the first fault).
-    let mut emu =
-        Emulation::with_config(zcu102(2, 0), modeled_config(diamond_cost_table(), None)).unwrap();
-    let baseline = emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let scenario = modeled(&lib, &wl, zcu102(2, 0), diamond_cost_table(), None);
+    let mut emu = Emulation::new(&scenario).unwrap();
+    let baseline = emu.run(&mut FrfsScheduler::new(), &scenario).unwrap();
     let victim_pe =
         baseline.tasks.iter().find(|t| t.instance.0 == 0 && &*t.node == "a").unwrap().pe;
 
@@ -298,12 +301,12 @@ fn transient_fault_retries_quarantines_and_is_deterministic() {
         ..FaultSpec::default()
     });
 
+    let scenario = modeled(&lib, &wl, zcu102(2, 0), diamond_cost_table(), Some(Arc::clone(&spec)));
     let run = || {
         let session = TraceSession::new();
-        let mut cfg = modeled_config(diamond_cost_table(), Some(Arc::clone(&spec)));
-        cfg.trace = Some(session.sink());
-        let mut emu = Emulation::with_config(zcu102(2, 0), cfg).unwrap();
-        let stats = emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+        let mut emu = Emulation::new(&scenario).unwrap();
+        emu.set_trace(Some(session.sink()));
+        let stats = emu.run(&mut FrfsScheduler::new(), &scenario).unwrap();
         (stats, session)
     };
     let (stats, session) = run();
@@ -324,18 +327,9 @@ fn transient_fault_retries_quarantines_and_is_deterministic() {
 
     // And the DES agrees exactly.
     let des_session = TraceSession::new();
-    let mut des = DesSimulator::new(
-        zcu102(2, 0),
-        DesConfig {
-            cost: CostSpec::table(diamond_cost_table()),
-            overhead_per_invocation: Duration::ZERO,
-            trace: Some(des_session.sink()),
-            faults: Some(Arc::clone(&spec)),
-            metrics: None,
-        },
-    )
-    .unwrap();
-    let des_stats = des.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let mut des = DesSimulator::new();
+    des.set_trace(Some(des_session.sink()));
+    let des_stats = des.run(&mut FrfsScheduler::new(), &scenario).unwrap();
     assert_eq!(stats.makespan, des_stats.makespan);
     assert_eq!(stats.reliability, des_stats.reliability);
     assert_eq!(fault_tuples(&session2.drain()), fault_tuples(&des_session.drain()));
@@ -348,9 +342,9 @@ fn transient_fault_retries_quarantines_and_is_deterministic() {
 fn modeled_hang_quarantines_and_matches_des() {
     let (lib, _reg) = diamond_library();
     let wl = WorkloadSpec::validation([("diamond", 2usize)]).generate(&lib).unwrap();
-    let mut emu =
-        Emulation::with_config(zcu102(2, 0), modeled_config(diamond_cost_table(), None)).unwrap();
-    let baseline = emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let scenario = modeled(&lib, &wl, zcu102(2, 0), diamond_cost_table(), None);
+    let mut emu = Emulation::new(&scenario).unwrap();
+    let baseline = emu.run(&mut FrfsScheduler::new(), &scenario).unwrap();
     let victim_pe =
         baseline.tasks.iter().find(|t| t.instance.0 == 0 && &*t.node == "b").unwrap().pe;
 
@@ -363,13 +357,10 @@ fn modeled_hang_quarantines_and_matches_des() {
         watchdog_factor: 3.0,
         ..FaultSpec::default()
     });
+    let scenario = modeled(&lib, &wl, zcu102(2, 0), diamond_cost_table(), Some(Arc::clone(&spec)));
     let run_threaded = || {
-        let mut emu = Emulation::with_config(
-            zcu102(2, 0),
-            modeled_config(diamond_cost_table(), Some(Arc::clone(&spec))),
-        )
-        .unwrap();
-        emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap()
+        let mut emu = Emulation::new(&scenario).unwrap();
+        emu.run(&mut FrfsScheduler::new(), &scenario).unwrap()
     };
     let stats = run_threaded();
     assert_eq!(stats.completed_apps(), 2);
@@ -379,18 +370,7 @@ fn modeled_hang_quarantines_and_matches_des() {
     assert_eq!(r.apps_aborted, 0);
     assert_eq!(stats.makespan, run_threaded().makespan, "hangs must be reproducible");
 
-    let mut des = DesSimulator::new(
-        zcu102(2, 0),
-        DesConfig {
-            cost: CostSpec::table(diamond_cost_table()),
-            overhead_per_invocation: Duration::ZERO,
-            trace: None,
-            faults: Some(Arc::clone(&spec)),
-            metrics: None,
-        },
-    )
-    .unwrap();
-    let des_stats = des.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let des_stats = DesSimulator::new().run(&mut FrfsScheduler::new(), &scenario).unwrap();
     assert_eq!(stats.makespan, des_stats.makespan);
     assert_eq!(stats.reliability, des_stats.reliability);
 }
@@ -444,8 +424,9 @@ fn wall_clock_watchdog_recovers_from_stuck_kernel() {
         watchdog_min_wall_ms: 25.0,
         ..FaultSpec::default()
     });
-    let mut emu = Emulation::with_config(zcu102(2, 0), modeled_config(table, Some(spec))).unwrap();
-    let stats = emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let scenario = modeled(&lib, &wl, zcu102(2, 0), table, Some(spec));
+    let mut emu = Emulation::new(&scenario).unwrap();
+    let stats = emu.run(&mut FrfsScheduler::new(), &scenario).unwrap();
     assert_eq!(stats.completed_apps(), 2, "retry on the surviving PE must complete the run");
     let r = &stats.reliability;
     assert_eq!(r.watchdog_faults, 1, "{r:?}");
@@ -455,12 +436,12 @@ fn wall_clock_watchdog_recovers_from_stuck_kernel() {
     // The pool survives: a second run on the same engine completes even
     // though one manager thread may still be sleeping in the old kernel
     // (its stale completion is discarded whenever it lands).
-    let stats2 = emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let stats2 = emu.run(&mut FrfsScheduler::new(), &scenario).unwrap();
     assert_eq!(stats2.completed_apps(), 2);
     // Let the wedged thread post its stale result and be rehabilitated,
     // then run once more.
     std::thread::sleep(Duration::from_millis(200));
-    let stats3 = emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let stats3 = emu.run(&mut FrfsScheduler::new(), &scenario).unwrap();
     assert_eq!(stats3.completed_apps(), 2);
 }
 
@@ -505,12 +486,9 @@ fn exec_fault_is_retried_under_recovery_policy() {
     let mut table = CostTable::new();
     table.set("flaky", "cortex-a53", Duration::from_micros(100));
 
-    let mut emu = Emulation::with_config(
-        zcu102(2, 0),
-        modeled_config(table, Some(Arc::new(FaultSpec::default()))),
-    )
-    .unwrap();
-    let stats = emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let scenario = modeled(&lib, &wl, zcu102(2, 0), table, Some(Arc::new(FaultSpec::default())));
+    let stats =
+        Emulation::new(&scenario).unwrap().run(&mut FrfsScheduler::new(), &scenario).unwrap();
     assert_eq!(stats.completed_apps(), 1);
     let r = &stats.reliability;
     assert_eq!(r.exec_faults, 1, "{r:?}");
@@ -531,12 +509,9 @@ fn all_pes_quarantined_surfaces_fault_error() {
         retry: RetryPolicy { max_retries: 10, backoff_us: 10.0, quarantine_after: 1 },
         ..FaultSpec::default()
     });
-    let mut emu = Emulation::with_config(
-        zcu102(1, 0),
-        modeled_config(diamond_cost_table(), Some(Arc::clone(&spec))),
-    )
-    .unwrap();
-    let err = emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap_err();
+    let scenario = modeled(&lib, &wl, zcu102(1, 0), diamond_cost_table(), Some(spec));
+    let mut emu = Emulation::new(&scenario).unwrap();
+    let err = emu.run(&mut FrfsScheduler::new(), &scenario).unwrap_err();
     match &err {
         EmuError::Fault { app, node, .. } => {
             assert_eq!(app, "diamond");
@@ -546,18 +521,7 @@ fn all_pes_quarantined_surfaces_fault_error() {
     }
     assert!(err.to_string().contains("unrecoverable fault"), "{err}");
 
-    let mut des = DesSimulator::new(
-        zcu102(1, 0),
-        DesConfig {
-            cost: CostSpec::table(diamond_cost_table()),
-            overhead_per_invocation: Duration::ZERO,
-            trace: None,
-            faults: Some(spec),
-            metrics: None,
-        },
-    )
-    .unwrap();
-    let des_err = des.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap_err();
+    let des_err = DesSimulator::new().run(&mut FrfsScheduler::new(), &scenario).unwrap_err();
     assert!(matches!(des_err, EmuError::Fault { .. }), "{des_err:?}");
 }
 
@@ -576,28 +540,14 @@ fn retry_exhaustion_aborts_only_the_faulted_app() {
         retry: RetryPolicy { max_retries: 1, backoff_us: 10.0, quarantine_after: 100 },
         ..FaultSpec::default()
     });
-    let mut emu = Emulation::with_config(
-        zcu102(2, 0),
-        modeled_config(diamond_cost_table(), Some(Arc::clone(&spec))),
-    )
-    .unwrap();
-    let stats = emu.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let scenario = modeled(&lib, &wl, zcu102(2, 0), diamond_cost_table(), Some(spec));
+    let mut emu = Emulation::new(&scenario).unwrap();
+    let stats = emu.run(&mut FrfsScheduler::new(), &scenario).unwrap();
     assert_eq!(stats.completed_apps(), 0, "every src attempt faults");
     assert_eq!(stats.reliability.apps_aborted, 3);
     assert_eq!(stats.reliability.retries, 3, "one retry per instance before exhaustion");
 
-    let mut des = DesSimulator::new(
-        zcu102(2, 0),
-        DesConfig {
-            cost: CostSpec::table(diamond_cost_table()),
-            overhead_per_invocation: Duration::ZERO,
-            trace: None,
-            faults: Some(spec),
-            metrics: None,
-        },
-    )
-    .unwrap();
-    let des_stats = des.run(&mut FrfsScheduler::new(), &wl, &lib).unwrap();
+    let des_stats = DesSimulator::new().run(&mut FrfsScheduler::new(), &scenario).unwrap();
     assert_eq!(stats.reliability, des_stats.reliability);
     assert_eq!(stats.makespan, des_stats.makespan);
 }
@@ -657,10 +607,10 @@ fn task_failed_without_faults_leaves_pool_reusable() {
     let mut table = CostTable::new();
     table.set("boom", "cortex-a53", Duration::from_micros(100));
     table.set("fine", "cortex-a53", Duration::from_micros(100));
-    let mut emu = Emulation::with_config(zcu102(2, 0), modeled_config(table, None)).unwrap();
-
     let bad = WorkloadSpec::validation([("bad", 1usize)]).generate(&lib).unwrap();
-    match emu.run(&mut FrfsScheduler::new(), &bad, &lib) {
+    let bad = modeled(&lib, &bad, zcu102(2, 0), table.clone(), None);
+    let mut emu = Emulation::new(&bad).unwrap();
+    match emu.run(&mut FrfsScheduler::new(), &bad) {
         Err(EmuError::TaskFailed { app, node, reason }) => {
             assert_eq!(app, "bad");
             assert_eq!(node, "n");
@@ -670,7 +620,8 @@ fn task_failed_without_faults_leaves_pool_reusable() {
     }
 
     let good = WorkloadSpec::validation([("good", 3usize)]).generate(&lib).unwrap();
-    let stats = emu.run(&mut FrfsScheduler::new(), &good, &lib).unwrap();
+    let good = modeled(&lib, &good, zcu102(2, 0), table, None);
+    let stats = emu.run(&mut FrfsScheduler::new(), &good).unwrap();
     assert_eq!(stats.completed_apps(), 3);
     assert_eq!(stats.reliability.faults_injected, 0);
     let spawned = dssoc_core::resource::threads_spawned_total() - before;

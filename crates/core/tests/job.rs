@@ -16,7 +16,7 @@ use dssoc_appmodel::app::AppLibrary;
 use dssoc_appmodel::WorkloadSpec;
 use dssoc_apps::standard_library;
 use dssoc_core::fault::{FaultSpec, RateFault, RetryPolicy};
-use dssoc_core::job::{CostSpec, Engine, JobRunner, ScenarioSpec};
+use dssoc_core::job::{CompiledScenario, CostSpec, Engine, JobRunner, ScenarioSpec};
 use dssoc_core::prelude::*;
 use dssoc_core::stats::EmulationStats;
 use dssoc_platform::cost::CostTable;
@@ -300,4 +300,134 @@ fn nondeterministic_threaded_runs_are_never_cached() {
     assert_eq!(jobs.cache().hits(), 0);
     assert_eq!(jobs.cache().misses(), 0, "uncacheable runs must not even count as misses");
     assert!(jobs.cache().is_empty());
+}
+
+/// Everything a deterministic run must reproduce exactly, for
+/// comparing a [`JobRunner`] run against a directly driven engine.
+#[allow(clippy::type_complexity)]
+fn run_outcome(
+    stats: &EmulationStats,
+) -> (
+    (Duration, usize, u64, Vec<(u64, usize, u32, u64, u64, Duration)>),
+    String,
+    String,
+    dssoc_core::stats::OverheadBreakdown,
+    Vec<(u32, Duration)>,
+) {
+    (
+        stats_skeleton(stats),
+        stats.platform.clone(),
+        stats.scheduler.clone(),
+        stats.overhead,
+        stats.pe_busy.iter().map(|(pe, d)| (pe.0, *d)).collect(),
+    )
+}
+
+/// Equal fingerprints give equal results: a scenario with a fixed
+/// per-invocation overhead — once with reservation queues — runs
+/// identically through the [`JobRunner`] and through a directly built
+/// engine, on both engines. Every knob the scenario carries must reach
+/// the engine from the scenario itself, never from engine-side state.
+#[test]
+fn equal_fingerprints_give_equal_results() {
+    for reservation_depth in [0, 2] {
+        let spec = build_spec(&Params {
+            cores: 2,
+            ffts: 1,
+            scheduler: "eft".into(),
+            counts: [2, 1],
+            modeled: true,
+            overhead: 2, // Fixed(fixed_us)
+            fixed_us: 50,
+            table_us: 100,
+            reservation_depth,
+            fault_seed: None,
+        });
+        let scenario = CompiledScenario::compile(spec).expect("compile");
+        let mut jobs = JobRunner::new();
+
+        let via_jobs = jobs.run(&scenario, Engine::Des).expect("job run").stats;
+        let direct = DesSimulator::new().run(&mut EftScheduler::new(), &scenario).expect("des");
+        assert_eq!(run_outcome(&via_jobs), run_outcome(&direct), "DES, depth {reservation_depth}");
+        assert!(via_jobs.overhead.total() > Duration::ZERO, "the fixed overhead was charged");
+
+        let via_jobs = jobs.run(&scenario, Engine::Threaded).expect("job run").stats;
+        let mut emu = Emulation::new(&scenario).expect("engine");
+        let direct = emu.run(&mut EftScheduler::new(), &scenario).expect("threaded");
+        assert_eq!(
+            run_outcome(&via_jobs),
+            run_outcome(&direct),
+            "threaded, depth {reservation_depth}"
+        );
+    }
+}
+
+/// The DES takes its platform from the scenario, so a warm simulator
+/// that last ran a one-core scenario runs a five-PE one on five PEs.
+#[test]
+fn des_runs_each_scenario_on_its_own_platform() {
+    let small = Params {
+        cores: 1,
+        ffts: 0,
+        scheduler: "frfs".into(),
+        counts: [1, 1],
+        modeled: true,
+        overhead: 0,
+        fixed_us: 1,
+        table_us: 100,
+        reservation_depth: 0,
+        fault_seed: None,
+    };
+    let big = Params { cores: 3, ffts: 2, ..small.clone() };
+    let small = CompiledScenario::compile(build_spec(&small)).expect("compile");
+    let big = CompiledScenario::compile(build_spec(&big)).expect("compile");
+
+    let mut sim = DesSimulator::new();
+    sim.run(&mut FrfsScheduler::new(), &small).expect("small run");
+    let stats = sim.run(&mut FrfsScheduler::new(), &big).expect("big run");
+    assert_eq!(stats.platform, "zcu102-3C+2F");
+    assert_eq!(stats.pe_names.len(), 5);
+    let fresh = JobRunner::new().run(&big, Engine::Des).expect("job run").stats;
+    assert_eq!(run_outcome(&stats), run_outcome(&fresh));
+}
+
+/// A threaded engine refuses, with a one-line configuration error, a
+/// scenario whose platform, timing, or cost differs from the ones its
+/// resource pool was spawned from.
+#[test]
+fn threaded_engine_rejects_a_scenario_its_pool_cannot_run() {
+    let base = Params {
+        cores: 1,
+        ffts: 0,
+        scheduler: "frfs".into(),
+        counts: [1, 1],
+        modeled: true,
+        overhead: 0,
+        fixed_us: 1,
+        table_us: 100,
+        reservation_depth: 0,
+        fault_seed: None,
+    };
+    let pool = CompiledScenario::compile(build_spec(&base)).expect("compile");
+    let mut emu = Emulation::new(&pool).expect("engine");
+    let mismatches = [
+        ("platform", Params { cores: 3, ffts: 2, ..base.clone() }),
+        ("timing", Params { modeled: false, ..base.clone() }),
+        ("cost", Params { table_us: 200, ..base.clone() }),
+    ];
+    for (what, params) in mismatches {
+        let other = CompiledScenario::compile(build_spec(&params)).expect("compile");
+        match emu.run(&mut FrfsScheduler::new(), &other) {
+            Err(EmuError::Config(msg)) => {
+                assert!(msg.contains(what), "{what}: {msg}");
+                assert!(!msg.contains('\n'), "{what}: error must be one line: {msg}");
+            }
+            other => panic!("{what}: expected a Config error, got {other:?}"),
+        }
+    }
+    // Knobs outside the pool (overhead, depth, workload, policy) run.
+    let same_pool = Params { overhead: 2, reservation_depth: 1, counts: [2, 1], ..base };
+    let same_pool = CompiledScenario::compile(build_spec(&same_pool)).expect("compile");
+    let stats = emu.run(&mut MetScheduler::new(), &same_pool).expect("same pool");
+    assert_eq!(stats.completed_apps(), 3);
 }

@@ -60,31 +60,24 @@ fn metric_samples(platform: &PlatformConfig, scheduler: &str, des: bool) -> Vec<
     let metrics = MetricsRegistry::new();
     let mut sched = by_name(scheduler).expect("library policy");
 
+    let spec = ScenarioSpec::builder()
+        .library(library)
+        .platform(platform.clone())
+        .workload(workload)
+        .timing(TimingMode::Modeled)
+        .overhead(OverheadMode::None)
+        .cost(CostSpec::table(table))
+        .build()
+        .expect("spec");
+    let scenario = CompiledScenario::compile(spec).expect("scenario");
     if des {
-        let mut sim = DesSimulator::new(
-            platform.clone(),
-            DesConfig {
-                cost: CostSpec::table(table),
-                overhead_per_invocation: Duration::ZERO,
-                trace: None,
-                faults: None,
-                metrics: Some(metrics.clone()),
-            },
-        )
-        .expect("platform");
-        sim.run(sched.as_mut(), &workload, &library).expect("simulation");
+        let mut sim = DesSimulator::new();
+        sim.set_metrics(Some(metrics.clone()));
+        sim.run(sched.as_mut(), &scenario).expect("simulation");
     } else {
-        let cfg = EmulationConfig {
-            timing: TimingMode::Modeled,
-            overhead: OverheadMode::None,
-            cost: CostSpec::table(table),
-            reservation_depth: 0,
-            trace: None,
-            faults: None,
-            metrics: Some(metrics.clone()),
-        };
-        let mut emu = Emulation::with_config(platform.clone(), cfg).expect("platform");
-        emu.run(sched.as_mut(), &workload, &library).expect("emulation");
+        let mut emu = Emulation::new(&scenario).expect("platform");
+        emu.set_metrics(Some(metrics.clone()));
+        emu.run(sched.as_mut(), &scenario).expect("emulation");
     }
 
     metrics

@@ -81,19 +81,15 @@ fn assert_same_results(sequential: &[CellResult], parallel: &[CellResult]) {
 fn des_parallel_batch_matches_sequential() {
     let (library, workload) = setup();
     let table = full_cost_table(&library, &[&zcu102(2, 0), &zcu102(3, 0)]);
-    let config = DesConfig {
-        cost: CostSpec::table(table),
-        overhead_per_invocation: Duration::ZERO,
-        trace: None,
-        faults: None,
-        metrics: None,
-    };
+    let base = ScenarioSpec::builder().cost(CostSpec::table(table));
     let cells = grid(&workload);
 
-    let sequential =
-        DesSweepRunner::with_config(&library, config.clone()).run_batch(&cells).expect("grid");
-    let parallel =
-        DesSweepRunner::with_config(&library, config).run_batch_parallel(&cells, 4).expect("grid");
+    let sequential = SweepRunner::with_base(&library, Engine::Des, base.clone())
+        .run_batch(&cells)
+        .expect("grid");
+    let parallel = SweepRunner::with_base(&library, Engine::Des, base)
+        .run_batch_parallel(&cells, 4)
+        .expect("grid");
     assert_same_results(&sequential, &parallel);
 }
 
@@ -101,21 +97,19 @@ fn des_parallel_batch_matches_sequential() {
 fn threaded_parallel_batch_matches_sequential() {
     let (library, workload) = setup();
     let table = full_cost_table(&library, &[&zcu102(2, 0), &zcu102(3, 0)]);
-    let config = EmulationConfig {
-        timing: TimingMode::Modeled,
-        overhead: OverheadMode::None,
-        cost: CostSpec::table(table),
-        reservation_depth: 0,
-        trace: None,
-        faults: None,
-        metrics: None,
-    };
+    let base = ScenarioSpec::builder()
+        .timing(TimingMode::Modeled)
+        .overhead(OverheadMode::None)
+        .cost(CostSpec::table(table))
+        .reservation_depth(0);
     let cells = grid(&workload);
 
-    let sequential =
-        SweepRunner::with_config(&library, config.clone()).run_batch(&cells).expect("grid");
-    let parallel =
-        SweepRunner::with_config(&library, config).run_batch_parallel(&cells, 4).expect("grid");
+    let sequential = SweepRunner::with_base(&library, Engine::Threaded, base.clone())
+        .run_batch(&cells)
+        .expect("grid");
+    let parallel = SweepRunner::with_base(&library, Engine::Threaded, base)
+        .run_batch_parallel(&cells, 4)
+        .expect("grid");
     assert_same_results(&sequential, &parallel);
 }
 
@@ -128,7 +122,9 @@ fn parallel_batch_reports_first_error() {
     cells[3].scheduler = "heft".into();
     cells[6].scheduler = "bogus".into();
 
-    let err = DesSweepRunner::new(&library).run_batch_parallel(&cells, 4).expect_err("bad cell");
+    let err = SweepRunner::new(&library, Engine::Des)
+        .run_batch_parallel(&cells, 4)
+        .expect_err("bad cell");
     assert!(err.to_string().contains("heft"), "expected the lower-indexed failure, got: {err}");
 }
 
@@ -155,9 +151,90 @@ impl Scheduler for NeverScheduler {
 #[test]
 fn des_reports_deadlock_when_scheduler_never_dispatches() {
     let (library, workload) = setup();
-    let mut sim = DesSimulator::new(zcu102(2, 0), DesConfig::default()).expect("platform");
-    let err = sim.run(&mut NeverScheduler, &workload, &library).expect_err("no progress");
+    let spec = ScenarioSpec::builder()
+        .library(library)
+        .platform(zcu102(2, 0))
+        .workload(workload)
+        .cost(CostSpec::table(CostTable::new()))
+        .build()
+        .expect("spec");
+    let scenario = CompiledScenario::compile(spec).expect("scenario");
+    let mut sim = DesSimulator::new();
+    let err = sim.run(&mut NeverScheduler, &scenario).expect_err("no progress");
     let msg = err.to_string();
     assert!(msg.contains("deadlock"), "expected deadlock diagnosis, got: {msg}");
     assert!(msg.contains("NEVER"), "error should name the policy: {msg}");
+}
+
+/// Every field of a run that a cell's lowering can change, as
+/// comparable values.
+#[allow(clippy::type_complexity)]
+fn skeleton(stats: &EmulationStats) -> (Duration, u64, Vec<(u64, usize, u32, u64, u64)>) {
+    let tasks = stats
+        .tasks
+        .iter()
+        .map(|t| (t.instance.0, t.node_idx, t.pe.0, t.start.0, t.finish.0))
+        .collect();
+    (stats.makespan, stats.sched_invocations, tasks)
+}
+
+/// Pins the merged runner's cell lowering to its documented per-engine
+/// defaults: a hand-built spec of each grid cell, with those defaults
+/// spelled out, must hit the runner's result cache (so it fingerprints
+/// equal to the lowered cell) and replay its stats.
+#[test]
+fn cell_lowering_matches_hand_built_specs() {
+    let (library, workload) = setup();
+    let table = full_cost_table(&library, &[&zcu102(2, 0), &zcu102(3, 0)]);
+    let fixed = OverheadMode::Fixed(Duration::from_micros(2));
+    // (engine, runner base, the knobs a hand-built spec must carry:
+    // timing, overhead, cost, reservation depth).
+    let cases = [
+        // DES defaults: Modeled, no overhead, an empty cost table, depth 0.
+        (
+            Engine::Des,
+            ScenarioSpec::builder(),
+            (TimingMode::Modeled, OverheadMode::None, CostSpec::table(CostTable::new()), 0),
+        ),
+        // The DES pins timing and depth whatever the base says.
+        (
+            Engine::Des,
+            ScenarioSpec::builder()
+                .timing(TimingMode::WallClock)
+                .overhead(fixed)
+                .cost(CostSpec::table(table.clone()))
+                .reservation_depth(3),
+            (TimingMode::Modeled, fixed, CostSpec::table(table.clone()), 0),
+        ),
+        // Threaded: unset timing and depth take Modeled and 0 (overhead
+        // and cost are set so the runs are deterministic and cacheable).
+        (
+            Engine::Threaded,
+            ScenarioSpec::builder().overhead(fixed).cost(CostSpec::table(table.clone())),
+            (TimingMode::Modeled, fixed, CostSpec::table(table.clone()), 0),
+        ),
+    ];
+    for (engine, base, (timing, overhead, cost, depth)) in cases {
+        let cells = grid(&workload);
+        let mut runner = SweepRunner::with_base(&library, engine, base);
+        let results = runner.run_batch(&cells).expect("grid");
+        let mut jobs = JobRunner::with_cache(runner.cache().clone());
+        for (cell, result) in cells.iter().zip(&results) {
+            let spec = ScenarioSpec::builder()
+                .library(library.clone())
+                .platform(Arc::clone(&cell.platform))
+                .scheduler(cell.scheduler.clone())
+                .workload(Arc::clone(&cell.workload))
+                .timing(timing)
+                .overhead(overhead)
+                .cost(cost.clone())
+                .reservation_depth(depth)
+                .build()
+                .expect("spec");
+            let hand = jobs.run_spec(spec, engine).expect("hand-built run");
+            assert!(hand.cached, "{engine}: '{}' lowered to a different fingerprint", cell.label);
+            assert_eq!(skeleton(&hand.stats), skeleton(&result.stats), "{engine}: {}", cell.label);
+        }
+        assert_eq!(runner.cache().hits(), cells.len() as u64, "{engine}: one hit per cell");
+    }
 }

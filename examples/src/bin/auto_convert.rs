@@ -36,8 +36,14 @@ fn run_variant(
     let wl = WorkloadSpec::validation([(opts.app_name.clone(), 1usize)])
         .generate(&library)
         .expect("workload");
-    let mut emu = Emulation::new(zcu102(cores, ffts)).expect("platform");
-    let stats = emu.run(&mut MetScheduler::new(), &wl, &library).expect("run");
+    let spec = ScenarioSpec::builder()
+        .library(library)
+        .platform(zcu102(cores, ffts))
+        .scheduler("met")
+        .workload(wl)
+        .build()
+        .expect("scenario");
+    let stats = JobRunner::new().run_spec(spec, Engine::Threaded).expect("run").stats;
     let mem = stats.instance_memory(stats.apps[0].instance).unwrap();
     assert_eq!(read_scalar(mem, "lag"), delay as f64, "output must stay correct");
     stats

@@ -86,8 +86,20 @@ fn main() {
         ("FRFS", Box::new(FrfsScheduler::new()) as Box<dyn Scheduler>),
         ("RADAR-PRIO", Box::new(RadarPriorityScheduler)),
     ] {
-        let mut emulation = Emulation::new(zcu102(2, 1)).expect("platform");
-        let stats = emulation.run(scheduler.as_mut(), &workload, &library).expect("emulation");
+        // The spec's scheduler name only labels a custom policy, so the
+        // scenario compiles with `compile_custom` and runs with the
+        // policy instance handed in.
+        let spec = ScenarioSpec::builder()
+            .library(library.clone())
+            .platform(zcu102(2, 1))
+            .workload(workload.clone())
+            .build()
+            .expect("scenario");
+        let scenario = CompiledScenario::compile_custom(spec).expect("scenario");
+        let stats = JobRunner::new()
+            .run_with(&scenario, Engine::Threaded, scheduler.as_mut())
+            .expect("emulation")
+            .stats;
         print_run_row(label, &stats);
         let mean = stats.app_latency_mean("range_detection").unwrap_or(Duration::ZERO);
         println!("    mean range_detection latency: {:.1} us", mean.as_secs_f64() * 1e6);

@@ -84,8 +84,16 @@ fn main() {
         WorkloadSpec::validation([("hello_dssoc", 3usize)]).generate(&library).expect("workload");
 
     // 4. Emulate on a 2-core + 1-FFT ZCU102-style configuration.
-    let mut emulation = Emulation::new(zcu102(2, 1)).expect("platform");
-    let stats = emulation.run(&mut FrfsScheduler::new(), &workload, &library).expect("emulation");
+    //    A scenario spec names everything a run depends on; the job
+    //    runner compiles it once and executes it on the threaded engine.
+    let spec = ScenarioSpec::builder()
+        .library(library)
+        .platform(zcu102(2, 1))
+        .scheduler("frfs")
+        .workload(workload)
+        .build()
+        .expect("scenario");
+    let stats = JobRunner::new().run_spec(spec, Engine::Threaded).expect("emulation").stats;
 
     println!("== quickstart: 3x hello_dssoc on {} ==", stats.platform);
     print!("{}", stats.summary());

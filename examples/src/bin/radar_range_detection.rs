@@ -28,9 +28,14 @@ fn main() {
         .expect("workload");
 
     for (cores, ffts) in [(1usize, 0usize), (1, 1), (2, 1), (3, 0), (3, 2)] {
-        let mut emulation = Emulation::new(zcu102(cores, ffts)).expect("platform");
-        let stats =
-            emulation.run(&mut FrfsScheduler::new(), &workload, &library).expect("emulation");
+        let spec = ScenarioSpec::builder()
+            .library(library.clone())
+            .platform(zcu102(cores, ffts))
+            .scheduler("frfs")
+            .workload(workload.clone())
+            .build()
+            .expect("scenario");
+        let stats = JobRunner::new().run_spec(spec, Engine::Threaded).expect("emulation").stats;
         print_run_row(&format!("{cores}C+{ffts}F"), &stats);
         print_utilization(&stats);
 

@@ -29,8 +29,14 @@ fn main() {
     let workload = WorkloadSpec::validation([("wifi_tx", 2usize), ("wifi_rx", 2usize)])
         .generate(&library)
         .expect("workload");
-    let mut emulation = Emulation::new(zcu102(2, 1)).expect("platform");
-    let stats = emulation.run(&mut MetScheduler::new(), &workload, &library).expect("emulation");
+    let spec = ScenarioSpec::builder()
+        .library(library.clone())
+        .platform(zcu102(2, 1))
+        .scheduler("met")
+        .workload(workload)
+        .build()
+        .expect("scenario");
+    let stats = JobRunner::new().run_spec(spec, Engine::Threaded).expect("emulation").stats;
     println!("== emulated wifi_tx + wifi_rx on {} ==", stats.platform);
     print!("{}", stats.summary());
     for app in stats.apps.iter().filter(|a| a.app == "wifi_rx") {

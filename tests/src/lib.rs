@@ -6,58 +6,61 @@
 use std::time::Duration;
 
 use dssoc_appmodel::{AppLibrary, Workload, WorkloadSpec};
-use dssoc_core::engine::{Emulation, EmulationConfig, OverheadMode, TimingMode};
-use dssoc_core::job::CostSpec;
+use dssoc_core::des::DesSimulator;
+use dssoc_core::engine::{Emulation, OverheadMode, TimingMode};
+use dssoc_core::job::{CompiledScenario, CostSpec, ScenarioBuilder, ScenarioSpec};
 use dssoc_core::stats::EmulationStats;
 use dssoc_core::Scheduler;
 use dssoc_platform::cost::CostTable;
 use dssoc_platform::pe::PlatformConfig;
 
-/// Builds a deterministic engine config: modeled timing, no overhead
-/// charge, costs from `table`.
-pub fn deterministic_config(table: CostTable) -> EmulationConfig {
-    EmulationConfig {
-        timing: TimingMode::Modeled,
-        overhead: OverheadMode::None,
-        cost: CostSpec::table(table),
-        reservation_depth: 0,
-        trace: None,
-        faults: None,
-        metrics: None,
-    }
+/// A scenario of `workload` on `platform` with the default knobs used by
+/// most integration tests: modeled timing with measured (host-scaled)
+/// costs and overhead.
+pub fn scenario(
+    library: &AppLibrary,
+    workload: &Workload,
+    platform: PlatformConfig,
+) -> ScenarioBuilder {
+    ScenarioSpec::builder().library(library.clone()).workload(workload.clone()).platform(platform)
 }
 
-/// Builds the default engine config used by most integration tests:
-/// modeled timing with measured (host-scaled) costs and overhead.
-pub fn default_config() -> EmulationConfig {
-    EmulationConfig::default()
+/// The deterministic knobs on top of `spec`: modeled timing, no
+/// overhead charge, costs from `table`.
+pub fn deterministic(spec: ScenarioBuilder, table: CostTable) -> ScenarioBuilder {
+    spec.timing(TimingMode::Modeled).overhead(OverheadMode::None).cost(CostSpec::table(table))
 }
 
 /// Runs a validation workload of `counts` on `platform` under
-/// `scheduler` and returns the stats.
+/// `scheduler` with the default knobs and returns the stats.
 pub fn run_validation(
     platform: PlatformConfig,
     scheduler: &mut dyn Scheduler,
     library: &AppLibrary,
     counts: &[(&str, usize)],
-    config: EmulationConfig,
 ) -> EmulationStats {
     let wl = WorkloadSpec::validation(counts.iter().map(|&(n, c)| (n.to_string(), c)))
         .generate(library)
         .expect("workload generation");
-    run_workload(platform, scheduler, library, &wl, config)
+    emulate(scenario(library, &wl, platform), scheduler)
 }
 
-/// Runs an arbitrary workload and returns the stats.
-pub fn run_workload(
-    platform: PlatformConfig,
-    scheduler: &mut dyn Scheduler,
-    library: &AppLibrary,
-    workload: &Workload,
-    config: EmulationConfig,
-) -> EmulationStats {
-    let mut emu = Emulation::with_config(platform, config).expect("platform config");
-    emu.run(scheduler, workload, library).expect("emulation run")
+/// Compiles `spec` and runs it once under `scheduler` on a fresh
+/// threaded engine.
+pub fn emulate(spec: ScenarioBuilder, scheduler: &mut dyn Scheduler) -> EmulationStats {
+    let scenario = CompiledScenario::compile_custom(spec.build().expect("scenario"))
+        .expect("scenario compiles");
+    Emulation::new(&scenario)
+        .expect("platform config")
+        .run(scheduler, &scenario)
+        .expect("emulation run")
+}
+
+/// Compiles `spec` and runs it once under `scheduler` on the DES.
+pub fn simulate(spec: ScenarioBuilder, scheduler: &mut dyn Scheduler) -> EmulationStats {
+    let scenario = CompiledScenario::compile_custom(spec.build().expect("scenario"))
+        .expect("scenario compiles");
+    DesSimulator::new().run(scheduler, &scenario).expect("simulation run")
 }
 
 /// A cost table assigning `per_task` to every `(kernel, class)` pair in

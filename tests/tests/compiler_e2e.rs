@@ -6,7 +6,7 @@
 use dssoc_appmodel::{AppLibrary, WorkloadSpec};
 use dssoc_compiler::{compile, CompileOptions};
 use dssoc_core::prelude::*;
-use dssoc_integration::default_config;
+use dssoc_integration::{emulate, scenario};
 use dssoc_platform::presets::zcu102;
 
 fn read_scalar(mem: &dssoc_appmodel::memory::AppMemory, name: &str) -> f64 {
@@ -26,8 +26,7 @@ fn run_converted(
     library.register_json(&app.json, &app.registry).unwrap();
     let wl =
         WorkloadSpec::validation([(opts.app_name.clone(), 1usize)]).generate(&library).unwrap();
-    let mut emu = Emulation::with_config(zcu102(cores, ffts), default_config()).unwrap();
-    let stats = emu.run(&mut FrfsScheduler::new(), &wl, &library).unwrap();
+    let stats = emulate(scenario(&library, &wl, zcu102(cores, ffts)), &mut FrfsScheduler::new());
     let mem = stats.instance_memory(stats.apps[0].instance).unwrap();
     let lag = read_scalar(mem, "lag");
     (lag, stats)
@@ -74,8 +73,7 @@ fn accelerator_substitution_runs_on_the_device() {
     let wl = WorkloadSpec::validation([("auto_rd_accel".to_string(), 1usize)])
         .generate(&library)
         .unwrap();
-    let mut emu = Emulation::with_config(zcu102(1, 1), default_config()).unwrap();
-    let stats = emu.run(&mut MetScheduler::new(), &wl, &library).unwrap();
+    let stats = emulate(scenario(&library, &wl, zcu102(1, 1)), &mut MetScheduler::new());
     let mem = stats.instance_memory(stats.apps[0].instance).unwrap();
     assert_eq!(read_scalar(mem, "lag"), 30.0);
     let accel_tasks = stats.tasks.iter().filter(|t| t.kernel.starts_with("accel_fft_")).count();

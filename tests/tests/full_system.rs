@@ -6,7 +6,7 @@
 use dssoc_appmodel::WorkloadSpec;
 use dssoc_apps::{pulse_doppler, range_detection, standard_library, wifi};
 use dssoc_core::prelude::*;
-use dssoc_integration::{default_config, run_validation};
+use dssoc_integration::{emulate, run_validation, scenario};
 use dssoc_platform::presets::zcu102;
 
 #[test]
@@ -17,7 +17,6 @@ fn table1_workload_runs_on_3c2f() {
         &mut FrfsScheduler::new(),
         &lib,
         &[("range_detection", 1), ("wifi_tx", 1), ("wifi_rx", 1)],
-        default_config(),
     );
     assert_eq!(stats.completed_apps(), 3);
     assert_eq!(stats.tasks.len(), 6 + 7 + 9);
@@ -37,7 +36,6 @@ fn range_detection_functionally_correct_through_emulator() {
                 &mut FrfsScheduler::new(),
                 &lib,
                 &[("range_detection", 2)],
-                default_config(),
             );
             let expected = range_detection::Params::default().target_delay as u32;
             for app in &stats.apps {
@@ -57,13 +55,7 @@ fn range_detection_functionally_correct_through_emulator() {
 fn wifi_rx_decodes_correctly_through_emulator() {
     let (lib, _reg) = standard_library();
     // Include the accelerator so the FFT node can land on the device.
-    let stats = run_validation(
-        zcu102(2, 1),
-        &mut MetScheduler::new(),
-        &lib,
-        &[("wifi_rx", 3)],
-        default_config(),
-    );
+    let stats = run_validation(zcu102(2, 1), &mut MetScheduler::new(), &lib, &[("wifi_rx", 3)]);
     let payload = wifi::Params::default().payload;
     for app in &stats.apps {
         let mem = stats.instance_memory(app.instance).unwrap();
@@ -76,13 +68,7 @@ fn wifi_rx_decodes_correctly_through_emulator() {
 #[test]
 fn wifi_tx_produces_reference_frame_through_emulator() {
     let (lib, _reg) = standard_library();
-    let stats = run_validation(
-        zcu102(2, 1),
-        &mut FrfsScheduler::new(),
-        &lib,
-        &[("wifi_tx", 1)],
-        default_config(),
-    );
+    let stats = run_validation(zcu102(2, 1), &mut FrfsScheduler::new(), &lib, &[("wifi_tx", 1)]);
     let p = wifi::Params::default();
     let golden = wifi::reference_tx(&p.payload);
     let mem = stats.instance_memory(stats.apps[0].instance).unwrap();
@@ -94,13 +80,8 @@ fn wifi_tx_produces_reference_frame_through_emulator() {
 fn pulse_doppler_resolves_target_through_emulator() {
     let (lib, _reg) = standard_library();
     // One full 770-task instance on a 3C+2F platform.
-    let stats = run_validation(
-        zcu102(3, 2),
-        &mut FrfsScheduler::new(),
-        &lib,
-        &[("pulse_doppler", 1)],
-        default_config(),
-    );
+    let stats =
+        run_validation(zcu102(3, 2), &mut FrfsScheduler::new(), &lib, &[("pulse_doppler", 1)]);
     assert_eq!(stats.tasks.len(), 770);
     let p = pulse_doppler::Params::default();
     let mem = stats.instance_memory(stats.apps[0].instance).unwrap();
@@ -113,13 +94,8 @@ fn accelerator_actually_executes_fft_tasks() {
     let (lib, _reg) = standard_library();
     // MET prefers the device when its estimate is lower; force usage by
     // providing an accelerator-rich platform and checking PE records.
-    let stats = run_validation(
-        zcu102(1, 2),
-        &mut FrfsScheduler::new(),
-        &lib,
-        &[("range_detection", 4)],
-        default_config(),
-    );
+    let stats =
+        run_validation(zcu102(1, 2), &mut FrfsScheduler::new(), &lib, &[("range_detection", 4)]);
     let accel_tasks =
         stats.tasks.iter().filter(|t| stats.pe_names[&t.pe].starts_with("FFT")).count();
     assert!(accel_tasks > 0, "no task ever ran on an accelerator PE");
@@ -159,8 +135,7 @@ fn performance_mode_full_mix() {
     )
     .generate(&lib)
     .unwrap();
-    let mut emu = Emulation::new(zcu102(3, 1)).unwrap();
-    let stats = emu.run(&mut EftScheduler::new(), &wl, &lib).unwrap();
+    let stats = emulate(scenario(&lib, &wl, zcu102(3, 1)), &mut EftScheduler::new());
     assert_eq!(stats.completed_apps(), wl.len());
     assert!(stats.sched_invocations > 0);
     assert!(stats.overhead.total() > Duration::ZERO);
@@ -169,13 +144,8 @@ fn performance_mode_full_mix() {
 #[test]
 fn utilization_reported_per_pe() {
     let (lib, _reg) = standard_library();
-    let stats = run_validation(
-        zcu102(2, 1),
-        &mut FrfsScheduler::new(),
-        &lib,
-        &[("range_detection", 6)],
-        default_config(),
-    );
+    let stats =
+        run_validation(zcu102(2, 1), &mut FrfsScheduler::new(), &lib, &[("range_detection", 6)]);
     assert_eq!(stats.pe_names.len(), 3);
     let total_util: f64 = stats.utilizations().iter().map(|(_, u)| u).sum();
     assert!(total_util > 0.0);

@@ -9,11 +9,8 @@ use proptest::prelude::*;
 
 use dssoc_appmodel::json::{AppJson, NodeJson, PlatformJson, VariableJson};
 use dssoc_appmodel::{AppLibrary, InjectionParams, KernelRegistry, WorkloadSpec};
-use dssoc_core::des::{DesConfig, DesSimulator};
-use dssoc_core::engine::Emulation;
-use dssoc_core::job::CostSpec;
 use dssoc_core::{EftScheduler, FrfsScheduler, MetScheduler, RandomScheduler, Scheduler};
-use dssoc_integration::{deterministic_config, uniform_cost_table};
+use dssoc_integration::{deterministic, emulate, scenario, simulate, uniform_cost_table};
 use dssoc_platform::presets::zcu102;
 
 /// A randomly shaped layered DAG description: `layers[i]` is the node
@@ -112,14 +109,13 @@ proptest! {
     fn random_dags_schedule_correctly(dag in random_dag_strategy(), cores in 1usize..4, sched_pick in 0usize..3) {
         let (lib, total) = build_random_app(&dag);
         let table = uniform_cost_table(&["bump"], &["cortex-a53"], Duration::from_micros(50));
-        let mut emu = Emulation::with_config(zcu102(cores, 0), deterministic_config(table)).unwrap();
         let mut scheduler: Box<dyn Scheduler> = match sched_pick {
             0 => Box::new(FrfsScheduler::new()),
             1 => Box::new(MetScheduler::new()),
             _ => Box::new(RandomScheduler::seeded(dag.edge_seed)),
         };
         let wl = WorkloadSpec::validation([("random_dag", 1usize)]).generate(&lib).unwrap();
-        let stats = emu.run(scheduler.as_mut(), &wl, &lib).unwrap();
+        let stats = emulate(deterministic(scenario(&lib, &wl, zcu102(cores, 0)), table), scheduler.as_mut());
 
         prop_assert_eq!(stats.tasks.len(), total);
         // Every kernel ran exactly once: each per-node counter is 1.
@@ -163,17 +159,12 @@ proptest! {
         let wl = WorkloadSpec::validation([("random_dag", 2usize)]).generate(&lib).unwrap();
 
         for sched_name in ["frfs", "met", "eft"] {
-            let mut emu = Emulation::with_config(zcu102(cores, 0), deterministic_config(table.clone())).unwrap();
+            let spec = || deterministic(scenario(&lib, &wl, zcu102(cores, 0)), table.clone());
             let mut s1 = dssoc_core::sched::by_name(sched_name).unwrap();
-            let threaded = emu.run(s1.as_mut(), &wl, &lib).unwrap();
+            let threaded = emulate(spec(), s1.as_mut());
 
-            let mut des = DesSimulator::new(
-                zcu102(cores, 0),
-                DesConfig { cost: CostSpec::table(table.clone()), overhead_per_invocation: Duration::ZERO, trace: None, faults: None, metrics: None },
-            )
-            .unwrap();
             let mut s2 = dssoc_core::sched::by_name(sched_name).unwrap();
-            let simulated = des.run(s2.as_mut(), &wl, &lib).unwrap();
+            let simulated = simulate(spec(), s2.as_mut());
 
             prop_assert_eq!(threaded.makespan, simulated.makespan, "scheduler {}", sched_name);
             let mut a: Vec<_> = threaded.tasks.iter().map(|t| (t.instance, t.node.clone(), t.start, t.finish)).collect();
@@ -229,20 +220,8 @@ fn eft_defers_in_engine_and_des_alike() {
     let (lib, _) = build_random_app(&RandomDag { layers: vec![3, 3, 3], edge_seed: 99 });
     let table = uniform_cost_table(&["bump"], &["cortex-a53"], Duration::from_micros(100));
     let wl = WorkloadSpec::validation([("random_dag", 3usize)]).generate(&lib).unwrap();
-    let mut emu =
-        Emulation::with_config(zcu102(2, 0), deterministic_config(table.clone())).unwrap();
-    let a = emu.run(&mut EftScheduler::new(), &wl, &lib).unwrap();
-    let mut des = DesSimulator::new(
-        zcu102(2, 0),
-        DesConfig {
-            cost: CostSpec::table(table),
-            overhead_per_invocation: Duration::ZERO,
-            trace: None,
-            faults: None,
-            metrics: None,
-        },
-    )
-    .unwrap();
-    let b = des.run(&mut EftScheduler::new(), &wl, &lib).unwrap();
+    let spec = || deterministic(scenario(&lib, &wl, zcu102(2, 0)), table.clone());
+    let a = emulate(spec(), &mut EftScheduler::new());
+    let b = simulate(spec(), &mut EftScheduler::new());
     assert_eq!(a.makespan, b.makespan);
 }
